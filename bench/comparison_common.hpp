@@ -44,13 +44,6 @@ struct ComparisonRow {
   double ds_seconds = 0.0;
   mr::RoundStats ds_stats;
   Weight ds_delta = 0.0;
-
-  // ρ-stepping (auto ρ, same source as the Δ run) — the beyond-the-paper
-  // kernel A/B: same 2-approximation, different round/work trade.
-  double rho_ratio = 0.0;
-  double rho_seconds = 0.0;
-  mr::RoundStats rho_stats;
-  std::uint64_t rho_used = 0;
 };
 
 struct ComparisonConfig {

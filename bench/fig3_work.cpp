@@ -23,27 +23,20 @@ int main(int argc, char** argv) {
 
   const auto rows = bench::run_table2(scale, {});
 
-  util::Table table({"graph", "work CL", "work DS", "work RS", "DS/CL",
-                     "RS/DS", "msgs CL", "msgs DS", "msgs RS", "updates CL",
-                     "updates DS", "updates RS"});
+  util::Table table({"graph", "work CL", "work DS", "DS/CL", "msgs CL",
+                     "msgs DS", "updates CL", "updates DS"});
   for (const auto& r : rows) {
     table.row()
         .cell(r.name)
         .sci(static_cast<double>(r.cl_stats.work()), 2)
         .sci(static_cast<double>(r.ds_stats.work()), 2)
-        .sci(static_cast<double>(r.rho_stats.work()), 2)
         .num(static_cast<double>(r.ds_stats.work()) /
                  static_cast<double>(r.cl_stats.work()),
              1)
-        .num(static_cast<double>(r.rho_stats.work()) /
-                 static_cast<double>(r.ds_stats.work()),
-             1)
         .sci(static_cast<double>(r.cl_stats.messages), 2)
         .sci(static_cast<double>(r.ds_stats.messages), 2)
-        .sci(static_cast<double>(r.rho_stats.messages), 2)
         .sci(static_cast<double>(r.cl_stats.node_updates), 2)
-        .sci(static_cast<double>(r.ds_stats.node_updates), 2)
-        .sci(static_cast<double>(r.rho_stats.node_updates), 2);
+        .sci(static_cast<double>(r.ds_stats.node_updates), 2);
   }
   table.print(std::cout);
 
@@ -65,22 +58,13 @@ int main(int argc, char** argv) {
         .put("cl_work", r.cl_stats.work())
         .put("ds_work", r.ds_stats.work())
         .put("cl_rounds", r.cl_stats.rounds())
-        .put("ds_rounds", r.ds_stats.rounds())
-        .put("rho_seconds", r.rho_seconds)
-        .put("rho_used", r.rho_used)
-        .put("rho_messages", r.rho_stats.messages)
-        .put("rho_updates", r.rho_stats.node_updates)
-        .put("rho_work", r.rho_stats.work())
-        .put("rho_rounds", r.rho_stats.rounds());
+        .put("ds_rounds", r.ds_stats.rounds());
   }
   report.write();
 
   std::printf(
       "\nexpected shape (paper, Fig. 3): CL-DIAM performs less work on every\n"
       "graph -- it explores paths only to bounded depth, while Delta-stepping\n"
-      "must settle the exact distance of every node. Largest gap on roads.\n"
-      "RS (rho-stepping, beyond the paper) trades rounds that track n/rho\n"
-      "for re-relaxation work; at these scales Delta's buckets are usually\n"
-      "cheaper whole-run -- the columns record where the crossover sits.\n");
+      "must settle the exact distance of every node. Largest gap on roads.\n");
   return 0;
 }

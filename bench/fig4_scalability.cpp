@@ -26,7 +26,6 @@
 #include "graph/components.hpp"
 #include "mr/placement.hpp"
 #include "sssp/delta_stepping.hpp"
-#include "sssp/rho_stepping.hpp"
 #include "util/options.hpp"
 #include "util/topology.hpp"
 #include "util/parallel.hpp"
@@ -48,14 +47,10 @@ double time_cldiam(const Graph& g, std::uint64_t seed) {
   return t.seconds();
 }
 
-// Whole-run SSSP from a fixed source with either stepping kernel; the ρ-vs-Δ
-// scaling curves share the CL-DIAM thread sweep so the A/B is apples-to-apples
-// at every parallelism level.
-double time_sssp(const Graph& g, exec::Algorithm algo) {
-  sssp::DeltaSteppingOptions o;
-  o.algorithm = algo;
+// Whole-run Δ-stepping from a fixed source, on the CL-DIAM thread sweep.
+double time_sssp(const Graph& g) {
   util::Timer t;
-  (void)sssp::shortest_paths(g, 0, o);
+  (void)sssp::delta_stepping(g, 0);
   return t.seconds();
 }
 
@@ -79,12 +74,12 @@ PlacementAb placement_ab(const Graph& g, std::uint32_t shards) {
   for (int rep = 0; rep < 3; ++rep) {
     o.placement.strategy = mr::PlacementStrategy::kNone;
     util::Timer tu;
-    (void)sssp::shortest_paths(g, 0, o);
+    (void)sssp::delta_stepping(g, 0, o);
     out.unpinned = std::min(out.unpinned, tu.seconds());
 
     o.placement.strategy = mr::PlacementStrategy::kRoundRobin;
     util::Timer tp;
-    const auto r = sssp::shortest_paths(g, 0, o);
+    const auto r = sssp::delta_stepping(g, 0, o);
     out.pinned = std::min(out.pinned, tp.seconds());
     out.cross_node_messages = r.stats.cross_node_messages;
     out.cross_node_bytes = r.stats.cross_node_bytes;
@@ -120,7 +115,7 @@ int main(int argc, char** argv) {
       gen::roads_product(copies, gen::road_network(side, side, rng2));
 
   util::Table table({"threads", "R-MAT time", "R-MAT speedup", "roads time",
-                     "roads speedup", "roads DS", "roads RS"});
+                     "roads speedup", "roads DS"});
   double rmat_t1 = 0.0, roads_t1 = 0.0;
   std::vector<int> threads;
   for (int t = 1; t <= max_threads; t *= 2) threads.push_back(t);
@@ -141,10 +136,8 @@ int main(int argc, char** argv) {
     std::cerr << "  [running] threads=" << t << "\n";
     const double rt = time_cldiam(rmat_g, 3);
     const double dt = time_cldiam(roads_g, 5);
-    const double ds = time_sssp(roads_g, exec::Algorithm::kDeltaStepping);
-    const double rs_sssp = time_sssp(roads_g, exec::Algorithm::kRhoStepping);
-    const double ds_rmat = time_sssp(rmat_g, exec::Algorithm::kDeltaStepping);
-    const double rs_rmat = time_sssp(rmat_g, exec::Algorithm::kRhoStepping);
+    const double ds = time_sssp(roads_g);
+    const double ds_rmat = time_sssp(rmat_g);
     if (t == 1) {
       rmat_t1 = rt;
       roads_t1 = dt;
@@ -155,8 +148,7 @@ int main(int argc, char** argv) {
         .num(rmat_t1 / rt, 2)
         .cell(util::format_duration(dt))
         .num(roads_t1 / dt, 2)
-        .cell(util::format_duration(ds))
-        .cell(util::format_duration(rs_sssp));
+        .cell(util::format_duration(ds));
     report.add_row()
         .put("threads", t)
         .put("rmat_seconds", rt)
@@ -164,9 +156,7 @@ int main(int argc, char** argv) {
         .put("roads_seconds", dt)
         .put("roads_speedup", roads_t1 / dt)
         .put("roads_delta_seconds", ds)
-        .put("roads_rho_seconds", rs_sssp)
-        .put("rmat_delta_seconds", ds_rmat)
-        .put("rmat_rho_seconds", rs_rmat);
+        .put("rmat_delta_seconds", ds_rmat);
   }
   util::set_num_threads(prev);
 

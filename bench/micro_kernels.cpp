@@ -5,9 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <bit>
-#include <cmath>
-
 #include "core/cluster.hpp"
 #include "core/diameter.hpp"
 #include "core/frontier.hpp"
@@ -21,7 +18,7 @@
 #include "graph/split_csr.hpp"
 #include "report.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/rho_stepping.hpp"
+#include "sssp/delta_stepping.hpp"
 #include "util/bitpack.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
@@ -55,11 +52,12 @@ const Graph& road_graph() {
 }
 
 // ---------------------------------------------------------------------------
-// Split-vs-branch A/B for the light-relaxation inner loop — the tentpole of
+// Split-vs-branch A/B for the light-relaxation inner loop — the payoff of
 // the split-CSR layout, measured in isolation. Both variants perform the
 // same per-light-edge work (message count + tentative atomic min against a
 // settled distance array, like a steady-state Δ-stepping phase); the only
 // difference is the iteration pattern: branch-filtering the full adjacency
+// (a loop local to this bench; the kernels only walk the presplit layout)
 // vs walking the presplit light segment.
 
 Weight relax_delta() { return rmat_graph().avg_weight(); }
@@ -116,18 +114,6 @@ void BM_RelaxLightSplit(benchmark::State& state) {
 }
 BENCHMARK(BM_RelaxLightSplit)->Unit(benchmark::kMillisecond);
 
-// End-to-end view of the same choice: whole Δ-stepping runs with the
-// presplit layout on vs off.
-void BM_DeltaSteppingPresplitOff(benchmark::State& state) {
-  const Graph& g = rmat_graph();
-  sssp::DeltaSteppingOptions o;
-  o.presplit = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::delta_stepping(g, 0, o));
-  }
-}
-BENCHMARK(BM_DeltaSteppingPresplitOff)->Unit(benchmark::kMillisecond);
-
 // ---------------------------------------------------------------------------
 // Sparse-vs-dense A/B for per-round frontier maintenance — the tentpole of
 // the adaptive frontier engine, measured in isolation. Both kernels run the
@@ -162,7 +148,7 @@ void BM_FrontierSparse(benchmark::State& state) {
   const Graph& g = road_graph();
   const NodeId n = g.num_nodes();
   core::FrontierOptions fo;
-  fo.adaptive = false;  // pin the sparse representation for the A/B
+  fo.dense_fraction = 1.0;  // pin the sparse representation for the A/B
   core::Frontier frontier(n, fo);
   std::vector<std::uint32_t> hop(n);
   std::uint64_t waves = 0;
@@ -225,11 +211,9 @@ void BM_FrontierDense(benchmark::State& state) {
 }
 BENCHMARK(BM_FrontierDense)->Unit(benchmark::kMillisecond);
 
-// Whole-run adaptive on/off A/B: the sparse-heavy road family is where the
-// frontier engine and the RoundBuffers pool pay off; dense-heavy rmat runs
-// must not regress (the JSON report computes both ratios). Both sides share
-// a context — one SplitCsr for all iterations — so the ratio isolates
-// FrontierOptions::adaptive, not the presplit cache.
+// Whole-run Δ-stepping on the sparse-heavy road family, on a shared context
+// (one SplitCsr for all iterations); BM_DeltaSteppingRmat is the dense-heavy
+// counterpart.
 void BM_DeltaSteppingRoad(benchmark::State& state) {
   const Graph& g = road_graph();
   exec::Context ctx;
@@ -238,121 +222,6 @@ void BM_DeltaSteppingRoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaSteppingRoad)->Unit(benchmark::kMillisecond);
-
-void BM_DeltaSteppingRoadBaseline(benchmark::State& state) {
-  const Graph& g = road_graph();
-  sssp::DeltaSteppingOptions o;
-  o.frontier.adaptive = false;
-  exec::Context ctx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::delta_stepping(g, 0, o, &ctx));
-  }
-}
-BENCHMARK(BM_DeltaSteppingRoadBaseline)->Unit(benchmark::kMillisecond);
-
-void BM_DeltaSteppingRmatBaseline(benchmark::State& state) {
-  const Graph& g = rmat_graph();
-  sssp::DeltaSteppingOptions o;
-  o.frontier.adaptive = false;
-  exec::Context ctx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::delta_stepping(g, 0, o, &ctx));
-  }
-}
-BENCHMARK(BM_DeltaSteppingRmatBaseline)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// ρ-vs-Δ whole-run A/B (sssp/rho_stepping.hpp): the same two families, same
-// shared-context setup as the BM_DeltaStepping{Road,Rmat} runs above, so
-// the JSON ratio isolates the kernel policy — bucket-by-distance vs
-// batch-by-work. Road (high diameter: Δ pays rounds ∝ diameter/Δ) is where
-// ρ-stepping is expected to win; rmat (low diameter) is the guard rail.
-
-void BM_RhoSteppingRoad(benchmark::State& state) {
-  const Graph& g = road_graph();
-  sssp::DeltaSteppingOptions o;
-  o.algorithm = exec::Algorithm::kRhoStepping;
-  exec::Context ctx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::rho_stepping(g, 0, o, &ctx));
-  }
-}
-BENCHMARK(BM_RhoSteppingRoad)->Unit(benchmark::kMillisecond);
-
-void BM_RhoSteppingRmat(benchmark::State& state) {
-  const Graph& g = rmat_graph();
-  sssp::DeltaSteppingOptions o;
-  o.algorithm = exec::Algorithm::kRhoStepping;
-  exec::Context ctx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::rho_stepping(g, 0, o, &ctx));
-  }
-}
-BENCHMARK(BM_RhoSteppingRmat)->Unit(benchmark::kMillisecond);
-
-// Sampled-vs-exact frontier sizing, whole-run: the same Δ-stepping runs with
-// FrontierOptions::sampled_size_estimate on — every dense advance() decides
-// its representation from ~1024 probes (noise-margin guarded) instead of the
-// exact sealed size. Distances are identical; the ratio tracks what the
-// policy swap costs/saves end to end per family.
-void BM_DeltaSteppingRoadSampled(benchmark::State& state) {
-  const Graph& g = road_graph();
-  sssp::DeltaSteppingOptions o;
-  o.frontier.sampled_size_estimate = true;
-  exec::Context ctx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::delta_stepping(g, 0, o, &ctx));
-  }
-}
-BENCHMARK(BM_DeltaSteppingRoadSampled)->Unit(benchmark::kMillisecond);
-
-void BM_DeltaSteppingRmatSampled(benchmark::State& state) {
-  const Graph& g = rmat_graph();
-  sssp::DeltaSteppingOptions o;
-  o.frontier.sampled_size_estimate = true;
-  exec::Context ctx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::delta_stepping(g, 0, o, &ctx));
-  }
-}
-BENCHMARK(BM_DeltaSteppingRmatSampled)->Unit(benchmark::kMillisecond);
-
-// The size-query primitive in isolation: exact popcount scan of a dense
-// bitmap vs ~1024 probes — the asymptotic claim behind sampled sizing
-// (O(n/64) vs O(probes), independent of n).
-constexpr gdiam::NodeId kSizeBenchNodes = 1u << 22;
-
-void BM_FrontierSizeExact(benchmark::State& state) {
-  std::vector<std::uint64_t> bits(kSizeBenchNodes / 64);
-  util::Xoshiro256 rng(21);
-  for (auto& w : bits) w = rng.next() & rng.next();  // ~25% occupancy
-  for (auto _ : state) {
-    std::size_t count = 0;
-    for (const std::uint64_t w : bits) {
-      count += static_cast<std::size_t>(std::popcount(w));
-    }
-    benchmark::DoNotOptimize(count);
-  }
-}
-BENCHMARK(BM_FrontierSizeExact)->Unit(benchmark::kMicrosecond);
-
-void BM_FrontierSizeSampled(benchmark::State& state) {
-  std::vector<std::uint64_t> bits(kSizeBenchNodes / 64);
-  util::Xoshiro256 rng(21);
-  for (auto& w : bits) w = rng.next() & rng.next();
-  const core::FrontierOptions fo;
-  for (auto _ : state) {
-    util::SplitMix64 sm(fo.sample_seed);
-    std::uint64_t hits = 0;
-    for (std::uint32_t i = 0; i < fo.size_probes; ++i) {
-      const auto v = static_cast<NodeId>(
-          (static_cast<unsigned __int128>(sm.next()) * kSizeBenchNodes) >> 64);
-      hits += (bits[v >> 6] >> (v & 63)) & 1ULL;
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_FrontierSizeSampled)->Unit(benchmark::kMicrosecond);
 
 void BM_GrowingStepPush(benchmark::State& state) {
   const Graph& g = mesh_graph();
@@ -398,33 +267,6 @@ void BM_GrowingStepPull(benchmark::State& state) {
 }
 BENCHMARK(BM_GrowingStepPull)->Unit(benchmark::kMillisecond);
 
-// The pull policy with the adaptive frontier engine disabled: every step
-// pays the legacy full-length Jacobi sweep regardless of frontier size.
-void BM_GrowingStepPullBaseline(benchmark::State& state) {
-  const Graph& g = mesh_graph();
-  for (auto _ : state) {
-    state.PauseTiming();
-    core::GrowingEngine e(g, core::GrowingPolicy::kPull);
-    core::FrontierOptions fo;
-    fo.adaptive = false;
-    e.set_frontier_options(fo);
-    util::Xoshiro256 rng(11);
-    for (int c = 0; c < 64; ++c) {
-      const auto u = static_cast<NodeId>(rng.next_bounded(g.num_nodes()));
-      e.set_source(u, u);
-    }
-    core::GrowingStepParams p;
-    p.light_threshold = p.uniform_budget = 8.0 * g.avg_weight();
-    e.rebuild_frontier(p);
-    state.ResumeTiming();
-    while (e.step(p).updates > 0) {
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.num_directed_edges()));
-}
-BENCHMARK(BM_GrowingStepPullBaseline)->Unit(benchmark::kMillisecond);
-
 void BM_DeltaSteppingMesh(benchmark::State& state) {
   const Graph& g = mesh_graph();
   sssp::DeltaSteppingOptions o;
@@ -438,7 +280,7 @@ BENCHMARK(BM_DeltaSteppingMesh)->Arg(1)->Arg(8)->Arg(64)
 
 void BM_DeltaSteppingRmat(benchmark::State& state) {
   const Graph& g = rmat_graph();
-  exec::Context ctx;  // mirrors the Road/Baseline variants
+  exec::Context ctx;  // mirrors BM_DeltaSteppingRoad
   for (auto _ : state) {
     benchmark::DoNotOptimize(sssp::delta_stepping(g, 0, {}, &ctx));
   }
@@ -693,27 +535,15 @@ int main(int argc, char** argv) {
     report.put("relax_light_split_speedup", branch / split);
   }
 
-  // Adaptive frontier engine: the representation A/B, the whole-run
-  // adaptive-on/off ratios, and the mode mix of one adaptive run per family
-  // (road = sparse-heavy, rmat = dense-heavy), so regressions in either the
-  // switch threshold or the representations show up in the trajectory.
+  // Adaptive frontier engine: the representation A/B and the mode mix of one
+  // run per family (road = sparse-heavy, rmat = dense-heavy), so regressions
+  // in either the switch threshold or the representations show up in the
+  // trajectory.
   report.put("frontier_dense_fraction", core::FrontierOptions{}.dense_fraction);
   const double fdense = real_time_of(reporter.runs, "BM_FrontierDense");
   const double fsparse = real_time_of(reporter.runs, "BM_FrontierSparse");
   if (fdense > 0.0 && fsparse > 0.0) {
     report.put("frontier_sparse_speedup", fdense / fsparse);
-  }
-  const double road_on = real_time_of(reporter.runs, "BM_DeltaSteppingRoad");
-  const double road_off =
-      real_time_of(reporter.runs, "BM_DeltaSteppingRoadBaseline");
-  if (road_on > 0.0 && road_off > 0.0) {
-    report.put("delta_adaptive_speedup_road", road_off / road_on);
-  }
-  const double rmat_on = real_time_of(reporter.runs, "BM_DeltaSteppingRmat");
-  const double rmat_off =
-      real_time_of(reporter.runs, "BM_DeltaSteppingRmatBaseline");
-  if (rmat_on > 0.0 && rmat_off > 0.0) {
-    report.put("delta_adaptive_speedup_rmat", rmat_off / rmat_on);
   }
   const auto road_run = sssp::delta_stepping(road_graph(), 0, {});
   report.put("road_sparse_rounds", road_run.stats.sparse_rounds);
@@ -722,55 +552,8 @@ int main(int argc, char** argv) {
   report.put("rmat_sparse_rounds", rmat_run.stats.sparse_rounds);
   report.put("rmat_dense_rounds", rmat_run.stats.dense_rounds);
 
-  // ρ-vs-Δ whole-run kernel A/B (> 1.0 means ρ-stepping wins) plus the ρ
-  // runs' step/round shape, per family.
-  const double road_rho = real_time_of(reporter.runs, "BM_RhoSteppingRoad");
-  if (road_on > 0.0 && road_rho > 0.0) {
-    report.put("rho_vs_delta_speedup_road", road_on / road_rho);
-  }
-  const double rmat_rho = real_time_of(reporter.runs, "BM_RhoSteppingRmat");
-  if (rmat_on > 0.0 && rmat_rho > 0.0) {
-    report.put("rho_vs_delta_speedup_rmat", rmat_on / rmat_rho);
-  }
-  sssp::DeltaSteppingOptions rho_opts;
-  rho_opts.algorithm = exec::Algorithm::kRhoStepping;
-  const auto road_rho_run = sssp::rho_stepping(road_graph(), 0, rho_opts);
-  report.put("road_rho_used", road_rho_run.rho_used);
-  report.put("road_rho_steps", road_rho_run.buckets_processed);
   report.put("road_delta_buckets", road_run.buckets_processed);
-  const auto rmat_rho_run = sssp::rho_stepping(rmat_graph(), 0, rho_opts);
-  report.put("rmat_rho_used", rmat_rho_run.rho_used);
-  report.put("rmat_rho_steps", rmat_rho_run.buckets_processed);
   report.put("rmat_delta_buckets", rmat_run.buckets_processed);
-
-  // Sampled-vs-exact frontier sizing: whole-run Δ-stepping with the probe
-  // policy on vs off (geometric mean of the two families — the headline the
-  // bench gate watches), the per-family detail, and the size-query
-  // primitive in isolation.
-  const double road_sampled =
-      real_time_of(reporter.runs, "BM_DeltaSteppingRoadSampled");
-  const double rmat_sampled =
-      real_time_of(reporter.runs, "BM_DeltaSteppingRmatSampled");
-  double sampled_geomean = 1.0;
-  if (road_on > 0.0 && road_sampled > 0.0) {
-    report.put("sampled_estimate_speedup_road", road_on / road_sampled);
-    sampled_geomean *= road_on / road_sampled;
-  }
-  if (rmat_on > 0.0 && rmat_sampled > 0.0) {
-    report.put("sampled_estimate_speedup_rmat", rmat_on / rmat_sampled);
-    sampled_geomean *= rmat_on / rmat_sampled;
-  }
-  if (road_sampled > 0.0 && rmat_sampled > 0.0) {
-    report.put("sampled_vs_exact_estimate_speedup",
-               std::sqrt(sampled_geomean));
-  }
-  const double size_exact =
-      real_time_of(reporter.runs, "BM_FrontierSizeExact");
-  const double size_sampled =
-      real_time_of(reporter.runs, "BM_FrontierSizeSampled");
-  if (size_exact > 0.0 && size_sampled > 0.0) {
-    report.put("frontier_size_probe_speedup", size_exact / size_sampled);
-  }
 
   // Context-reuse A/B (exec/context.hpp): reused-context CLUSTER / CL-DIAM
   // over fresh-context, per family. >= 1.0 means reuse pays.

@@ -38,12 +38,10 @@ enum class DeltaInit {
   kFixed,          // caller-provided value (used by the Δ-init ablation)
 };
 
-/// CLUSTER knobs. The shared execution knobs — `frontier` (adaptive
-/// sparse/dense engine for the growing steps; adaptive=false is the legacy
-/// bit-identical baseline), `partition` (shard layout for
-/// GrowingPolicy::kPartitioned; ignored by kPush/kPull) and `presplit`
-/// (Δ-presplit adjacency toggle, threaded into the growing engine) — are
-/// inherited from exec::ExecOptions (DESIGN.md §8).
+/// CLUSTER knobs. The shared execution knobs — `frontier` (thresholds of
+/// the adaptive sparse/dense engine for the growing steps) and `partition`
+/// (shard layout for GrowingPolicy::kPartitioned; ignored by kPush/kPull) —
+/// are inherited from exec::ExecOptions (DESIGN.md §8).
 struct ClusterOptions : exec::ExecOptions {
   /// Target decomposition granularity τ (number-of-clusters knob; the final
   /// clustering has O(τ log² n) clusters).

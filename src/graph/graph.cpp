@@ -116,23 +116,30 @@ void Graph::reset_to_empty() noexcept {
   min_weight_ = max_weight_ = avg_weight_ = 0.0;
 }
 
-void Graph::compute_weight_stats() noexcept {
-  if (weights_v_.empty()) {
-    min_weight_ = max_weight_ = avg_weight_ = 0.0;
-    return;
-  }
+WeightStats weight_stats(std::span<const Weight> weights) noexcept {
+  WeightStats s;
+  if (weights.empty()) return s;
+  // Serial on purpose: a parallel reduction combines partial sums in the
+  // order threads finish, which moves the mean by an ulp between runs and
+  // thread counts — and Δ, bucket counts and every counter downstream with
+  // it.
   Weight mn = kInfiniteWeight, mx = 0.0, sum = 0.0;
-  const Weight* w = weights_v_.data();
-#pragma omp parallel for reduction(min : mn) reduction(max : mx) \
-    reduction(+ : sum) schedule(static)
-  for (std::size_t i = 0; i < weights_v_.size(); ++i) {
-    mn = std::min(mn, w[i]);
-    mx = std::max(mx, w[i]);
-    sum += w[i];
+  for (const Weight w : weights) {
+    mn = std::min(mn, w);
+    mx = std::max(mx, w);
+    sum += w;
   }
-  min_weight_ = mn;
-  max_weight_ = mx;
-  avg_weight_ = sum / static_cast<Weight>(weights_v_.size());
+  s.min = mn;
+  s.max = mx;
+  s.avg = sum / static_cast<Weight>(weights.size());
+  return s;
+}
+
+void Graph::compute_weight_stats() noexcept {
+  const WeightStats s = weight_stats(weights_v_);
+  min_weight_ = s.min;
+  max_weight_ = s.max;
+  avg_weight_ = s.avg;
 }
 
 bool Graph::validate() const {

@@ -44,6 +44,20 @@ struct Edge {
 
 using EdgeList = std::vector<Edge>;
 
+/// Min, max and mean of an edge-weight array (all 0 when it is empty).
+struct WeightStats {
+  Weight min = 0.0;
+  Weight max = 0.0;
+  Weight avg = 0.0;
+};
+
+/// The one definition of a graph's weight stats: the builder, text ingest
+/// and the .gcsr writer all get them through Graph, and `gdiam_convert
+/// --verify` rechecks a .gcsr header against this function. The sum runs
+/// serially in index order, so the mean (and with it the heuristic Δ) is a
+/// pure function of the array, never of the thread count.
+[[nodiscard]] WeightStats weight_stats(std::span<const Weight> weights) noexcept;
+
 /// Undirected weighted graph in compressed-sparse-row form.
 ///
 /// Internally each undirected edge is stored twice (both directions), so

@@ -6,7 +6,7 @@
 //   1. local compute — every shard reads/writes only its own state and
 //      stages messages for other shards in an Exchange. *Where* this phase
 //      runs is the Transport's business (mr/transport.hpp): LocalTransport
-//      uses one OpenMP thread per shard, ProcessTransport forks worker
+//      uses one OpenMP thread per shard, PoolTransport runs resident worker
 //      processes and ships the staged rows back over sockets;
 //   2. exchange      — the barrier: Exchange::seal() delivers all mailboxes
 //      in deterministic order and tallies the traffic;

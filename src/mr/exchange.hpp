@@ -20,7 +20,7 @@
 //
 // Remote-compute transports (mr/transport.hpp, DESIGN.md §9) add two things:
 //
-//   * a *loopback* channel — under ProcessTransport a shard's compute runs
+//   * a *loopback* channel — under PoolTransport a shard's compute runs
 //     in a forked worker whose writes to coordinator state are lost, so the
 //     direct owned-state writes of the single-process path (lowering an
 //     owned distance slot, folding an owned label proposal) are staged as

@@ -47,7 +47,7 @@ struct RoundStats {
   std::uint64_t cross_node_messages = 0;
   std::uint64_t cross_node_bytes = 0;
   /// Records and bytes that genuinely crossed a *process* boundary — filled
-  /// only when a remote transport (mr/transport.hpp, ProcessTransport) ran
+  /// only when a remote transport (mr/transport.hpp, PoolTransport) ran
   /// the compute phases; always 0 under LocalTransport, where an exchange is
   /// a memory move. Unlike the cross counters these are transport-dependent
   /// by design (they include the loopback stand-ins for owned-state writes
@@ -57,9 +57,8 @@ struct RoundStats {
   /// Relaxation rounds whose frontier was collected in the sparse
   /// (thread-local queue) vs dense (bitmap) representation of the adaptive
   /// frontier engine (core/frontier.hpp). Observability counters for the
-  /// bench mode-mix reports: both stay 0 on the adaptive=false baselines,
-  /// so parity suites compare the work counters above field-by-field and pin
-  /// these two separately (tests/test_frontier.cpp).
+  /// bench mode-mix reports; every relaxation round is exactly one of the
+  /// two, and tests/test_frontier.cpp pins both.
   std::uint64_t sparse_rounds = 0;
   std::uint64_t dense_rounds = 0;
 

@@ -23,42 +23,15 @@ namespace fault = gdiam::util::fault;
 
 namespace {
 
-/// Errors are thrown bare; run_compute catches them, finishes cleanup
-/// (close fds, reap children) and rethrows with the transport prefix.
+/// Errors are thrown bare; run_compute catches them, shuts the pool down
+/// and rethrows with the transport prefix.
 [[noreturn]] void throw_errno(const char* what) {
   throw std::runtime_error(std::string(what) + ": " + std::strerror(errno));
 }
 
-/// Cursor over a worker's byte stream; a short stream means the worker died
-/// mid-write and is reported as a transport error, never as silent data.
-struct Reader {
-  const std::byte* p;
-  const std::byte* end;
-
-  std::uint64_t u64() {
-    if (end - p < static_cast<std::ptrdiff_t>(sizeof(std::uint64_t))) {
-      throw std::runtime_error("truncated worker stream");
-    }
-    std::uint64_t v;
-    std::memcpy(&v, p, sizeof v);
-    p += sizeof v;
-    return v;
-  }
-  const std::byte* bytes(std::uint64_t len) {
-    // Unsigned compare: a corrupt length with the top bit set must trip the
-    // check, not wrap a signed cast past it (end >= p by construction).
-    if (static_cast<std::uint64_t>(end - p) < len) {
-      throw std::runtime_error("truncated worker stream");
-    }
-    const std::byte* at = p;
-    p += len;
-    return at;
-  }
-};
-
 /// How long teardown waits for a worker to exit on its own before SIGKILL.
-/// Workers _exit right after their last write (process) or on 'Q'/EOF
-/// (pool), so the deadline only ever bites on a genuinely wedged child.
+/// Workers _exit on 'Q'/EOF, so the deadline only ever bites on a genuinely
+/// wedged child.
 constexpr int kReapTimeoutMs = 5000;
 
 }  // namespace
@@ -137,10 +110,6 @@ std::vector<int> Launcher::cpus_of_group(std::uint32_t p) const {
 std::unique_ptr<Transport> Launcher::make_transport(
     const TransportOptions& opts, std::uint32_t num_shards,
     PlacementPlan plan) {
-  if (opts.kind == TransportKind::kProcess) {
-    return std::make_unique<ProcessTransport>(
-        Launcher(num_shards, opts.processes, std::move(plan)));
-  }
   if (opts.kind == TransportKind::kPool) {
     return std::make_unique<PoolTransport>(
         Launcher(num_shards, opts.processes, std::move(plan)));
@@ -166,125 +135,6 @@ TransportStats LocalTransport::run_compute(const SuperstepPlan& plan) {
     }
   }
   return {};  // nothing crossed a process boundary
-}
-
-TransportStats ProcessTransport::run_compute(const SuperstepPlan& plan) {
-  TransportStats out;
-  const std::uint32_t procs = launcher_.processes();
-  std::vector<int> rx(procs, -1);
-  std::vector<pid_t> pids(procs, -1);
-  // First failure anywhere; recorded, not thrown, until every spawned
-  // worker is drained/closed and reaped — a mid-spawn fork failure must not
-  // leak the earlier workers' fds or leave them blocked and unreaped.
-  std::string error;
-
-  // Phase A: fork one worker per group. The child inherits a copy-on-write
-  // snapshot of the whole coordinator — exactly the step-start state the BSP
-  // contract lets compute read — runs its shards sequentially (the P workers
-  // are the parallelism; OpenMP regions are not safe in a forked child),
-  // streams its frames, and _exits without touching shared stdio/atexit
-  // state. Wire format, per shard in group order:
-  //   [u64 row_len][row bytes from encode_row][u64 shard counter]
-  for (std::uint32_t p = 0; p < procs && error.empty(); ++p) {
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-      error = std::string("socketpair: ") + std::strerror(errno);
-      break;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      error = std::string("fork: ") + std::strerror(errno);
-      ::close(fds[0]);
-      ::close(fds[1]);
-      break;
-    }
-    if (pid == 0) {
-      // Worker. fd hygiene: drop the read end and every earlier worker's
-      // inherited read end (harmless for EOF semantics, but tidy).
-      ::close(fds[0]);
-      for (std::uint32_t q = 0; q < p; ++q) ::close(rx[q]);
-      int status = 0;
-      try {
-        // Fault point: a kill here is a worker crash before any output; an
-        // errno makes this worker report a deterministic compute failure.
-        if (fault::check("proc.worker").fail) throw std::runtime_error("");
-        // Node-bind the worker before compute (best-effort; cpus_of_group is
-        // empty without an active plan and the bind is a no-op).
-        util::topo::bind_current_thread(launcher_.cpus_of_group(p));
-        const auto shards = launcher_.shards_of(p);
-        for (const ShardId s : shards) plan.compute(s);
-        std::vector<std::byte> frames;
-        std::vector<std::byte> row;
-        for (const ShardId s : shards) {
-          row.clear();
-          plan.encode_row(s, row);
-          net::append_u64(frames, row.size());
-          frames.insert(frames.end(), row.begin(), row.end());
-          net::append_u64(frames, plan.shard_counters.empty()
-                                      ? 0
-                                      : plan.shard_counters[s]);
-        }
-        if (!net::write_all(fds[1], frames.data(), frames.size())) status = 3;
-      } catch (...) {
-        status = 2;  // compute threw; the coordinator turns this into one
-      }                // "worker failed" error after reaping
-      ::close(fds[1]);
-      ::_exit(status);
-    }
-    ::close(fds[1]);  // coordinator keeps only the read end
-    rx[p] = fds[0];
-    pids[p] = pid;
-  }
-
-  // Phase B: collect every spawned worker's stream and reassemble rows *by
-  // shard id*, so delivery order is independent of process scheduling. Once
-  // an error is recorded, remaining streams are not decoded — closing the
-  // read end unblocks (and terminates, via SIGPIPE/EPIPE) a writer that
-  // nobody will read — but every fd is closed and every child reaped before
-  // the one error is finally thrown.
-  for (std::uint32_t p = 0; p < procs; ++p) {
-    if (rx[p] < 0) continue;  // never spawned (mid-spawn failure)
-    if (error.empty()) {
-      try {
-        const std::vector<std::byte> stream = net::read_to_eof(rx[p]);
-        out.wire_bytes += stream.size();
-        Reader r{stream.data(), stream.data() + stream.size()};
-        for (const ShardId s : launcher_.shards_of(p)) {
-          const std::uint64_t row_len = r.u64();
-          out.wire_messages += plan.decode_row(s, r.bytes(row_len), row_len);
-          const std::uint64_t counter = r.u64();
-          if (!plan.shard_counters.empty()) plan.shard_counters[s] = counter;
-        }
-      } catch (const std::exception& e) {
-        error = e.what();
-      }
-    }
-    ::close(rx[p]);
-  }
-  // Bounded reap: a worker that neither exited nor can be waited on within
-  // the deadline is SIGKILLed rather than hanging the coordinator forever,
-  // and every nonzero exit status (including that escalation) surfaces as a
-  // transport error — a dead-but-zero-looking superstep is silent data loss.
-  std::string worker_error;
-  for (std::uint32_t p = 0; p < procs; ++p) {
-    if (pids[p] < 0) continue;
-    const net::ReapResult rr = net::reap_child(pids[p], kReapTimeoutMs);
-    const int code = rr.exit_code();
-    if (worker_error.empty() && code != 0) {
-      const char* why = !rr.reaped ? "lost worker "
-                        : rr.sigkilled || rr.sigtermed
-                            ? "hung worker (killed): worker "
-                        : code == 2 ? "compute threw in worker "
-                        : code == 3 ? "socket write failed in worker "
-                                    : "worker died: worker ";
-      worker_error = why + std::to_string(p);
-    }
-  }
-  // A dead worker explains a truncated/short stream, never the other way
-  // around — report the root cause, not the symptom the reader saw first.
-  if (!worker_error.empty()) error = worker_error;
-  if (!error.empty()) throw TransportError("ProcessTransport: " + error);
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -474,8 +324,8 @@ TransportStats PoolTransport::run_compute(const SuperstepPlan& plan) {
 
   try {
     // Residency gate. No codec ⇒ the frozen closures cannot receive fresh
-    // inputs, so degrade to respawn-per-superstep (ProcessTransport
-    // semantics, still correct). An epoch change ⇒ the resident state the
+    // inputs, so degrade to respawn-per-superstep (still correct: every
+    // respawn re-snapshots the coordinator). An epoch change ⇒ the resident state the
     // closures read beyond the inputs has mutated ⇒ re-snapshot.
     if (!alive_ || !has_codec || epoch_ != plan.resident_epoch) {
       shutdown();

@@ -13,31 +13,27 @@
 //   deterministic delivery order, traffic tallying, the apply phase — is
 //   transport-invariant, which is what makes the backends bit-identical.
 //
-// Three implementations:
+// Two implementations:
 //
 //   * LocalTransport — today's path: one OpenMP thread per shard, staging
 //     rows are already in the coordinator's memory, nothing is serialized.
 //     wire counters stay 0 (a "message" is a cache-line write).
 //
-//   * ProcessTransport — each superstep forks one worker per process group
-//     (Launcher maps K shards onto P workers in contiguous, ceil-balanced
-//     groups), runs the group's shard computes in the child, and ships the
-//     staged rows + user counters back over an AF_UNIX stream socketpair.
-//     The fork gives every worker a copy-on-write snapshot of the
-//     coordinator's entire state at superstep start — the OS-enforced
+//   * PoolTransport — resident workers: the Launcher maps K shards onto P
+//     workers in contiguous, ceil-balanced groups, and the pool forks each
+//     group's worker ONCE (at the first superstep, so the fork snapshot
+//     carries the run's resident layout: partition slice, presplit CSR, the
+//     algorithm's scratch) and keeps it alive across supersteps on a
+//     persistent AF_UNIX socketpair. The fork gives every worker a
+//     copy-on-write snapshot of the coordinator's state — the OS-enforced
 //     version of the BSP contract that compute reads only step-start state.
 //     Because the child's writes are invisible to the coordinator, compute
 //     must route *all* of its effects through the exchange: under
 //     remote_compute() the algorithms replace their direct owned-state
 //     writes with Exchange::loopback() records and their direct counter
-//     writes with the plan's shard_counters slots. Bytes read back from the
-//     workers are the genuinely-crossed `wire_bytes` that feed RoundStats.
-//
-//   * PoolTransport — resident workers: forks each group's worker ONCE (at
-//     the first superstep, so the fork snapshot carries the run's resident
-//     layout: partition slice, presplit CSR, the algorithm's scratch) and
-//     keeps it alive across supersteps on a persistent socketpair. The
-//     coordinator's state keeps evolving after the fork, so the worker's
+//     writes with the plan's shard_counters slots. Bytes that cross the
+//     sockets are the genuinely-crossed `wire_bytes` that feed RoundStats.
+//     The coordinator's state keeps evolving after the fork, so the worker's
 //     snapshot goes stale in two ways, with two matching mechanisms:
 //
 //       - per-superstep inputs (the frontier, the active-sender set) change
@@ -51,7 +47,7 @@
 //         re-snapshotting the coordinator.
 //
 //     A plan without an input codec degrades safely: the pool respawns the
-//     workers every superstep, which is exactly ProcessTransport semantics.
+//     workers every superstep, re-snapshotting the coordinator each time.
 //     Worker crashes are survivable for the same reason residency is
 //     correct at all: under the remote-compute contract a superstep's rows
 //     are a pure function of (resident layout, shipped inputs), so the
@@ -81,7 +77,7 @@
 
 namespace gdiam::mr {
 
-enum class TransportKind { kLocal, kProcess, kPool };
+enum class TransportKind { kLocal, kPool };
 
 /// What a transport throws when a superstep cannot be completed remotely
 /// (spawn failure, restart budget exhausted, a worker that fails
@@ -96,8 +92,8 @@ class TransportError : public std::runtime_error {
 };
 
 /// Transport selection knobs, carried by exec::ExecOptions so one assignment
-/// configures a whole pipeline (`--transport process --processes P` in the
-/// CLI). `processes` is clamped to the shard count by the Launcher.
+/// configures a whole pipeline (`--processes P` in the CLI selects kPool).
+/// `processes` is clamped to the shard count by the Launcher.
 struct TransportOptions {
   TransportKind kind = TransportKind::kLocal;
   std::uint32_t processes = 1;
@@ -107,9 +103,9 @@ struct TransportOptions {
 };
 
 /// What one run_compute actually put on a process boundary: 0/0 for
-/// LocalTransport; for ProcessTransport every staged record (including
-/// loopback stand-ins for owned-state writes) and every byte read back from
-/// the workers' sockets (row payloads + framing + counters).
+/// LocalTransport; for PoolTransport every staged record (including
+/// loopback stand-ins for owned-state writes) and every byte that crossed
+/// the workers' sockets (inputs, row payloads, framing and counters).
 struct TransportStats {
   std::uint64_t wire_messages = 0;
   std::uint64_t wire_bytes = 0;
@@ -258,25 +254,6 @@ class LocalTransport final : public Transport {
 
  private:
   PlacementPlan plan_;
-};
-
-/// Multi-process transport: forks one worker per Launcher group each
-/// superstep and collects the groups' rows over AF_UNIX socketpairs. See the
-/// header comment for the COW-snapshot semantics and DESIGN.md §9 for the
-/// wire format.
-class ProcessTransport final : public Transport {
- public:
-  explicit ProcessTransport(Launcher launcher) : launcher_(launcher) {}
-
-  [[nodiscard]] bool remote_compute() const noexcept override { return true; }
-  [[nodiscard]] std::uint32_t processes() const noexcept override {
-    return launcher_.processes();
-  }
-  [[nodiscard]] const Launcher& launcher() const noexcept { return launcher_; }
-  TransportStats run_compute(const SuperstepPlan& plan) override;
-
- private:
-  Launcher launcher_;
 };
 
 /// Resident-worker transport: one long-lived worker per Launcher group,

@@ -33,18 +33,8 @@ std::string render_estimate(const core::DiameterApproxResult& r,
 
 std::string render_sssp(NodeId source, const sssp::DeltaSteppingResult& r) {
   std::string out;
-  // One source line per kernel, naming its own tuning knob; still the single
-  // printer both the CLI and the daemon render through (CI diffs them).
-  if (r.algorithm_used == exec::Algorithm::kRhoStepping) {
-    appendf(out,
-            "source:        %u (algorithm=rho, rho=%llu, partitions=%u, "
-            "processes=%u)\n",
-            source, static_cast<unsigned long long>(r.rho_used),
-            r.partitions_used, r.processes_used);
-  } else {
-    appendf(out, "source:        %u (Delta=%g, partitions=%u, processes=%u)\n",
-            source, r.delta_used, r.partitions_used, r.processes_used);
-  }
+  appendf(out, "source:        %u (Delta=%g, partitions=%u, processes=%u)\n",
+          source, r.delta_used, r.partitions_used, r.processes_used);
   appendf(out, "eccentricity:  %.6g (farthest node %u)\n", r.eccentricity,
           r.farthest);
   appendf(out, "2-approx diam: %.6g\n", 2.0 * r.eccentricity);

@@ -3,18 +3,22 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "core/cluster.hpp"
 #include "core/diameter.hpp"
 #include "mr/transport.hpp"
 #include "serve/render.hpp"
-#include "sssp/rho_stepping.hpp"
+#include "sssp/delta_stepping.hpp"
 #include "util/fault.hpp"
 #include "util/net.hpp"
 
@@ -65,10 +69,44 @@ bool field_bool(const Message& m, const std::string& key, bool fallback) {
   throw std::invalid_argument("bad boolean for '" + key + "': " + v);
 }
 
+/// The fields `verb` reads besides `id`, which every verb echoes.
+std::vector<std::string_view> known_fields(const std::string& verb) {
+  std::vector<std::string_view> f{"id"};
+  auto add = [&f](std::initializer_list<std::string_view> more) {
+    f.insert(f.end(), more);
+  };
+  const bool query = verb == "estimate" || verb == "sssp";
+  if (verb == "fault") add({"spec", "clear"});
+  if (query || verb == "load") add({"graph", "deadline_ms"});
+  if (verb == "estimate") add({"tau", "seed", "cluster2", "classic"});
+  if (verb == "sssp") add({"source", "delta"});
+  if (query) add({"partitions", "range-partition", "transport", "processes"});
+  return f;
+}
+
+/// Throws std::invalid_argument naming the first field of a request that
+/// its verb does not read, so a retired or misspelled option is answered
+/// with bad_request instead of silently served on the defaults. Unknown
+/// verbs pass through to their own error.
+void reject_unknown_fields(const Message& m) {
+  constexpr std::string_view kVerbs[] = {"estimate", "sssp",     "load",
+                                         "stats",    "shutdown", "fault"};
+  if (std::find(std::begin(kVerbs), std::end(kVerbs), m.head) ==
+      std::end(kVerbs)) {
+    return;
+  }
+  const auto known = known_fields(m.head);
+  for (const auto& [key, value] : m.fields) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw std::invalid_argument("unknown field '" + key + "' for " +
+                                  m.head);
+    }
+  }
+}
+
 /// The shared execution fields, with the CLI's exact semantics and
-/// defaults: partitions (1), range-partition (hash), transport
-/// local|process|pool (processes=N alone implies process), adaptive (on),
-/// sampled-frontier (off), algorithm delta|rho (delta).
+/// defaults: partitions (1), range-partition (hash), transport local|pool
+/// (processes=N alone implies pool).
 void apply_exec_fields(const Message& m, exec::ExecOptions& opt) {
   opt.partition.num_partitions = field_u32(m, "partitions", 1);
   if (opt.partition.num_partitions == 0) {
@@ -78,29 +116,19 @@ void apply_exec_fields(const Message& m, exec::ExecOptions& opt) {
                                ? mr::PartitionStrategy::kRange
                                : mr::PartitionStrategy::kHash;
   const std::string kind = m.get("transport");
-  if (!kind.empty() && kind != "local" && kind != "process" &&
-      kind != "pool") {
-    throw std::invalid_argument("transport must be local, process or pool");
+  if (!kind.empty() && kind != "local" && kind != "pool") {
+    throw std::invalid_argument("transport must be local or pool");
   }
-  if (kind == "process" || kind == "pool" || (kind.empty() && m.has("processes"))) {
-    opt.transport.kind = kind == "pool" ? mr::TransportKind::kPool
-                                        : mr::TransportKind::kProcess;
+  if (kind == "pool" || (kind.empty() && m.has("processes"))) {
+    opt.transport.kind = mr::TransportKind::kPool;
     opt.transport.processes = field_u32(m, "processes", 2);
     if (opt.transport.processes == 0) {
       throw std::invalid_argument("processes must be >= 1");
     }
     if (opt.partition.num_partitions <= 1) {
-      throw std::invalid_argument(
-          "transport=process/pool requires partitions > 1");
+      throw std::invalid_argument("transport=pool requires partitions > 1");
     }
   }
-  opt.frontier.adaptive = field_bool(m, "adaptive", true);
-  opt.frontier.sampled_size_estimate = field_bool(m, "sampled-frontier", false);
-  const std::string algo = m.get("algorithm");
-  if (!algo.empty() && algo != "delta" && algo != "rho") {
-    throw std::invalid_argument("algorithm must be delta or rho");
-  }
-  if (algo == "rho") opt.algorithm = exec::Algorithm::kRhoStepping;
 }
 
 bool deadline_expired(
@@ -232,6 +260,12 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
       continue;
     } catch (const std::exception&) {
       break;  // torn frame or dead socket: nothing sane to answer onto
+    }
+    try {
+      reject_unknown_fields(req);
+    } catch (const std::invalid_argument& e) {
+      send_error(*conn, req, kErrBadRequest, e.what());
+      continue;
     }
     // Control verbs are answered inline: they must respond even when every
     // worker is pinned under a long estimate.
@@ -443,7 +477,6 @@ Message Server::handle_query(GraphStore::Entry& entry, const Message& req,
   if (req.head == "sssp") {
     sssp::DeltaSteppingOptions opt;
     opt.delta = field_double(req, "delta", 0.0);
-    opt.rho = field_u64(req, "rho", 0);
     apply_exec_fields(req, opt);
     if (force_local) opt.transport = {};
     const auto source = field_u32(req, "source", 0);
@@ -453,7 +486,7 @@ Message Server::handle_query(GraphStore::Entry& entry, const Message& req,
                                   std::to_string(g.num_nodes()) + ")");
     }
     const sssp::DeltaSteppingResult r =
-        sssp::shortest_paths(g, source, opt, &entry.ctx);
+        sssp::delta_stepping(g, source, opt, &entry.ctx);
     resp.body = render_sssp(source, r);
     return resp;
   }

@@ -20,10 +20,10 @@
 // applied locally, cross-shard ones travel through the typed exchange, and
 // the stats additionally report the cross-partition messages/bytes a real
 // MR shuffle would pay. Distances are identical to the flat kernel (same
-// min-reduction fixpoint per phase). With transport.kind == kProcess
+// min-reduction fixpoint per phase). With transport.kind == kPool
 // (mr/transport.hpp) the supersteps' compute phases additionally fan out
-// over forked worker processes — still bit-identical, with the genuinely-
-// crossed wire bytes reported on top (DESIGN.md §9).
+// over resident worker processes — still bit-identical, with the genuinely-
+// crossed wire bytes reported on top (DESIGN.md §9–§10).
 //
 // Frontier maintenance (improved-node sets, settled-set dedup, bucket and
 // exchange scratch) runs on the adaptive sparse/dense engine and the
@@ -51,20 +51,14 @@ class Context;
 namespace gdiam::sssp {
 
 /// Δ-stepping knobs. The shared execution knobs — `frontier` (adaptive
-/// sparse/dense engine + RoundBuffers pool; adaptive=false is the legacy
-/// bit-identical baseline), `partition` (BSP shard layout; K <= 1 = flat
-/// kernel) and `presplit` (Δ-presplit adjacency vs the branch-filter
-/// baseline) — are inherited from exec::ExecOptions, the single definition
-/// every gdiam kernel shares (DESIGN.md §8).
+/// sparse/dense engine + RoundBuffers pool) and `partition` (BSP shard
+/// layout; K <= 1 = flat kernel) — are inherited from exec::ExecOptions, the
+/// single definition every gdiam kernel shares (DESIGN.md §8).
 struct DeltaSteppingOptions : exec::ExecOptions {
   /// Bucket width; 0 selects the common heuristic Δ = avg edge weight.
   Weight delta = 0.0;
   /// Cap on light-phase iterations per bucket (safety valve; 0 = unlimited).
   std::uint64_t max_phases_per_bucket = 0;
-  /// ρ-stepping batch target (sssp/rho_stepping.hpp): each step extracts the
-  /// ~rho closest frontier nodes. Only read when `algorithm` (inherited from
-  /// exec::ExecOptions) selects kRhoStepping; 0 picks max(1024, n/64).
-  std::uint64_t rho = 0;
 };
 
 /// One cross-shard relaxation request: "lower dist of your node `target`
@@ -80,7 +74,7 @@ static_assert(sizeof(DistProposal) == 12);
 /// Per-run pool of round-lifetime scratch: everything a Δ-stepping run
 /// touches once per bucket or phase — tentative distances, cyclic bucket
 /// slots, drained/settled/frontier lists, snapshot pairs, per-vertex stamps,
-/// the adaptive improved-set Frontier and the partitioned exchange staging —
+/// the improved-set Frontier and the partitioned exchange staging —
 /// is allocated here once per run. Owned by an exec::Context and carried
 /// across runs, steady-state runs allocate almost nothing.
 struct RoundBuffers {
@@ -102,11 +96,6 @@ struct RoundBuffers {
   std::vector<std::vector<std::pair<NodeId, Weight>>> by_shard;
   std::vector<std::uint64_t> shard_messages;
   std::vector<std::uint64_t> shard_updates;
-  std::vector<std::vector<NodeId>> shard_improved;
-  std::vector<NodeId> changed;
-  /// ρ-stepping threshold-selection scratch: the order-encoded distances of
-  /// the sampled frontier nodes (sssp/rho_stepping.cpp).
-  std::vector<std::uint64_t> sample_bits;
   /// Resident-worker (PoolTransport) input slot: the edge class of the
   /// current relaxation phase. Lives here — stable heap address — so a pool
   /// worker's frozen compute closure reads the value decode_input just
@@ -124,24 +113,19 @@ struct RoundBuffers {
   [[nodiscard]] bool stamp_once(NodeId v);
 };
 
-/// Result of one stepping-kernel run — shared by Δ-stepping and ρ-stepping
-/// (both converge to the same exact-distance fixpoint; `algorithm_used`
-/// records which kernel produced it).
+/// Result of one Δ-stepping run.
 struct DeltaSteppingResult {
   std::vector<Weight> dist;
   mr::RoundStats stats;
   NodeId farthest = kInvalidNode;  // reachable node with maximum distance
   Weight eccentricity = 0.0;
-  exec::Algorithm algorithm_used = exec::Algorithm::kDeltaStepping;
-  Weight delta_used = 0.0;  // Δ-stepping only (0 under ρ-stepping)
-  /// ρ-stepping only: the batch target the run used (0 under Δ-stepping).
-  std::uint64_t rho_used = 0;
-  /// Outer steps: buckets emptied (Δ) or extract-relax steps (ρ).
+  Weight delta_used = 0.0;
+  /// Buckets emptied.
   std::uint64_t buckets_processed = 0;
   /// Shards the run executed on (1 = flat shared-memory kernel).
   std::uint32_t partitions_used = 1;
   /// Worker processes the BSP compute phases fanned out over (1 = in-process
-  /// LocalTransport; >1 only under TransportKind::kProcess).
+  /// LocalTransport; >1 only under TransportKind::kPool).
   std::uint32_t processes_used = 1;
 };
 
@@ -154,14 +138,12 @@ struct DeltaSteppingResult {
     exec::Context* ctx = nullptr);
 
 /// Diameter upper bound 2·ecc(source) plus the stats of the underlying run —
-/// the SSSP-based approximation the paper compares against. Dispatches on
-/// opts.algorithm, so the whole-run A/Bs (fig3/fig4) measure either kernel.
+/// the SSSP-based approximation the paper compares against.
 struct SsspDiameterApprox {
   Weight upper_bound = 0.0;   // 2 * eccentricity
   Weight eccentricity = 0.0;  // itself a lower bound on the diameter
   mr::RoundStats stats;
   Weight delta_used = 0.0;
-  exec::Algorithm algorithm_used = exec::Algorithm::kDeltaStepping;
 };
 
 [[nodiscard]] SsspDiameterApprox diameter_two_approx(

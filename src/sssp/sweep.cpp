@@ -4,7 +4,6 @@
 
 #include "exec/context.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/rho_stepping.hpp"
 #include "util/rng.hpp"
 
 namespace gdiam::sssp {
@@ -37,10 +36,8 @@ SweepResult diameter_lower_bound(const Graph& g, const SweepOptions& opts,
     Weight ecc = 0.0;
     NodeId farthest = source;
     if (opts.use_delta_stepping) {
-      // Dispatches on opts.delta.algorithm, so the sweep runs either
-      // stepping kernel; both share C's layout caches and scratch pool.
       const DeltaSteppingResult r =
-          shortest_paths(g, source, opts.delta, &C);
+          delta_stepping(g, source, opts.delta, &C);
       ecc = r.eccentricity;
       farthest = r.farthest;
       out.stats += r.stats;

@@ -32,14 +32,11 @@ struct SweepOptions {
   /// Explicit start node; kInvalidNode derives one from `seed`.
   NodeId seed_node = kInvalidNode;
   /// false — sequential Dijkstra per sweep (the paper's methodology);
-  /// true — the parallel stepping kernel selected by `delta.algorithm`
-  /// (Δ-stepping or ρ-stepping, sssp/rho_stepping.hpp) with a shared
-  /// context: the Δ-presplit adjacency is built once for the whole sweep
-  /// sequence (equal Δ; ρ-stepping leaves it untouched but still shares the
-  /// RoundBuffers pool), so repetitions allocate almost nothing.
+  /// true — parallel Δ-stepping with a shared context: the Δ-presplit
+  /// adjacency is built once for the whole sweep sequence (equal Δ), so
+  /// repetitions allocate almost nothing.
   bool use_delta_stepping = false;
-  /// Stepping-kernel configuration (use_delta_stepping only); `algorithm`
-  /// and `rho` ride along for the ρ-stepping kernel.
+  /// Δ-stepping configuration (use_delta_stepping only).
   DeltaSteppingOptions delta;
 };
 

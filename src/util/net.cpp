@@ -141,20 +141,6 @@ bool read_exact(int fd, void* data, std::size_t len) noexcept {
   return true;
 }
 
-std::vector<std::byte> read_to_eof(int fd) {
-  std::vector<std::byte> out;
-  std::byte buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("read");
-    }
-    if (n == 0) return out;
-    out.insert(out.end(), buf, buf + n);
-  }
-}
-
 bool write_u64(int fd, std::uint64_t v) noexcept {
   return write_all(fd, &v, sizeof v);
 }

@@ -1,5 +1,6 @@
 #include "util/options.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -66,6 +67,16 @@ bool Options::get_bool(const std::string& name, bool fallback) const {
   }
   if (it->second == "false" || it->second == "0") return false;
   throw std::invalid_argument("boolean flag --" + name + "=" + it->second);
+}
+
+std::optional<std::string> Options::first_unknown(
+    std::span<const std::string_view> known) const {
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return name;
+    }
+  }
+  return std::nullopt;
 }
 
 void Options::set(const std::string& name, std::string value) {

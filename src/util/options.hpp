@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gdiam::util {
@@ -35,6 +37,11 @@ class Options {
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+
+  /// The first flag (in name order) not listed in `known`, if any. Commands
+  /// reject flags they do not read instead of silently ignoring them.
+  [[nodiscard]] std::optional<std::string> first_unknown(
+      std::span<const std::string_view> known) const;
 
   /// Positional (non-flag) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {

@@ -1,7 +1,7 @@
 #pragma once
 // Machine topology discovery for NUMA-aware shard placement (DESIGN.md §13).
 //
-// The Δ-/ρ-stepping hot loops are memory-bandwidth-bound: on a multi-socket
+// The Δ-stepping hot loops are memory-bandwidth-bound: on a multi-socket
 // machine a shard whose arrays were first-touched on the wrong node pays
 // remote-DRAM latency on every relaxation. The placement layer
 // (mr/placement.hpp) maps shards onto NUMA nodes; this file answers the one

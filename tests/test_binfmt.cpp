@@ -357,16 +357,14 @@ sssp::DeltaSteppingOptions sssp_opts(const ParityConfig& c) {
   return o;
 }
 
-/// All transports × K ∈ {1, 2, 7}; process/pool need a partitioned run, so
+/// Both transports × K ∈ {1, 2, 7}; the pool needs a partitioned run, so
 /// K=1 pairs only with the local transport.
 std::vector<ParityConfig> parity_configs() {
   return {
       {1, mr::TransportKind::kLocal, 1, "K1/local"},
       {2, mr::TransportKind::kLocal, 1, "K2/local"},
-      {2, mr::TransportKind::kProcess, 2, "K2/process"},
       {2, mr::TransportKind::kPool, 2, "K2/pool"},
       {7, mr::TransportKind::kLocal, 1, "K7/local"},
-      {7, mr::TransportKind::kProcess, 2, "K7/process"},
       {7, mr::TransportKind::kPool, 2, "K7/pool"},
   };
 }

@@ -425,14 +425,6 @@ TEST(TransportChaos, PoolSpawnFailureIsATypedTransportError) {
       mr::TransportError);
 }
 
-TEST(TransportChaos, ProcessWorkerFaultIsATypedTransportError) {
-  const Graph g = test::make_family(Family::kGnmUniform, 120, 13);
-  const ScopedFaults f("proc.worker=errno@1");  // each fork counts its own
-  EXPECT_THROW(
-      run_growth(g, {.kind = mr::TransportKind::kProcess, .processes = 2}),
-      mr::TransportError);
-}
-
 // ---------------------------------------------------------------------------
 // Daemon chaos: typed errors, admission control, deadlines, degradation
 

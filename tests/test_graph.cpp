@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "graph/ops.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
 
 namespace gdiam {
 namespace {
@@ -44,6 +46,44 @@ TEST(Graph, WeightStats) {
   EXPECT_DOUBLE_EQ(g.min_weight(), 1.0);
   EXPECT_DOUBLE_EQ(g.max_weight(), 3.0);
   EXPECT_DOUBLE_EQ(g.avg_weight(), 2.0);
+}
+
+// The mean weight seeds the heuristic Δ, so it must be bit-identical at
+// every thread count, not just close: weights spanning twelve orders of
+// magnitude make any regrouping of the sum visible in the last bits.
+TEST(Graph, WeightStatsIndependentOfThreadCount) {
+  util::Xoshiro256 rng(7);
+  std::vector<Weight> w(1u << 18);
+  for (Weight& x : w) {
+    x = std::ldexp(1.0 + rng.next_double(),
+                   static_cast<int>(rng.next_bounded(40)) - 20);
+  }
+  Weight serial = 0.0;
+  for (const Weight x : w) serial += x;  // index order: the definition
+  EdgeList edges;
+  for (NodeId u = 0; u + 1 < 5000; ++u) {
+    edges.push_back(Edge{u, u + 1, w[u]});
+    edges.push_back(Edge{u, (u * 7919 + 13) % 5000, w[u + 5000]});
+  }
+
+  const int prev = util::num_threads();
+  const WeightStats ref = weight_stats(w);
+  EXPECT_EQ(ref.avg, serial / static_cast<Weight>(w.size()));
+  const Graph ref_graph = build_graph(5000, edges);
+  for (int threads = 1; threads <= 8; ++threads) {
+    util::set_num_threads(threads);
+    for (int rep = 0; rep < 4; ++rep) {
+      const WeightStats s = weight_stats(w);
+      EXPECT_EQ(s.min, ref.min) << threads << " threads";
+      EXPECT_EQ(s.max, ref.max) << threads << " threads";
+      EXPECT_EQ(s.avg, ref.avg) << threads << " threads";
+      const Graph g = build_graph(5000, edges);
+      EXPECT_EQ(g.avg_weight(), ref_graph.avg_weight()) << threads;
+      EXPECT_EQ(g.min_weight(), ref_graph.min_weight()) << threads;
+      EXPECT_EQ(g.max_weight(), ref_graph.max_weight()) << threads;
+    }
+  }
+  util::set_num_threads(prev);
 }
 
 TEST(Graph, NeighborsAlignedWithWeights) {

@@ -4,7 +4,8 @@
 // AF_UNIX socket — sequential and concurrent clients, response-to-request
 // id matching, served results bit-identical to direct library calls (the
 // daemon parity acceptance criterion), the same-graph batcher, error
-// responses, and the stats/shutdown verbs.
+// responses (including unknown fields per verb), and the stats/shutdown
+// verbs.
 
 #include <gtest/gtest.h>
 
@@ -374,6 +375,55 @@ TEST(Server, ErrorResponsesForBadRequests) {
   EXPECT_EQ(roundtrip(sopts.socket_path, good).head, "ok");
 
   EXPECT_EQ(server.stats().errors.load(), 4u);
+  server.stop();
+}
+
+// Every verb rejects fields it does not read with a typed bad_request: a
+// retired option (here the removed SSSP kernel selector) must not silently
+// run the default path. `id` stays valid everywhere, and the fields a load
+// generator sends (graph, source, seed, id) stay accepted.
+TEST(Server, UnknownFieldsAreRejectedPerVerb) {
+  ServerOptions sopts;
+  sopts.socket_path = test_socket("fields");
+  Server server(sopts);
+  server.start();
+
+  Message retired;
+  retired.head = "sssp";
+  retired.set("graph", "gen:path:nodes=10");
+  retired.set("algorithm", "rho");
+  retired.set("id", "7");
+  const Message resp = roundtrip(sopts.socket_path, retired, false);
+  EXPECT_EQ(resp.head, "error");
+  EXPECT_EQ(resp.get("code"), kErrBadRequest);
+  EXPECT_NE(resp.get("message").find("'algorithm'"), std::string::npos);
+  EXPECT_EQ(resp.get("id"), "7");
+
+  Message est_field_on_stats;  // an estimate field is unknown to stats
+  est_field_on_stats.head = "stats";
+  est_field_on_stats.set("tau", "4");
+  EXPECT_EQ(roundtrip(sopts.socket_path, est_field_on_stats, false)
+                .get("code"),
+            kErrBadRequest);
+
+  Message sssp_ok;
+  sssp_ok.head = "sssp";
+  sssp_ok.set("graph", "gen:path:nodes=10");
+  sssp_ok.set("source", "3");
+  sssp_ok.set("id", "8");
+  EXPECT_EQ(roundtrip(sopts.socket_path, sssp_ok).get("id"), "8");
+  Message est_ok;
+  est_ok.head = "estimate";
+  est_ok.set("graph", "gen:path:nodes=10");
+  est_ok.set("seed", "3");
+  est_ok.set("id", "9");
+  EXPECT_EQ(roundtrip(sopts.socket_path, est_ok).get("id"), "9");
+  Message stats;
+  stats.head = "stats";
+  stats.set("id", "10");
+  EXPECT_EQ(roundtrip(sopts.socket_path, stats).get("id"), "10");
+
+  EXPECT_EQ(server.stats().errors.load(), 2u);
   server.stop();
 }
 

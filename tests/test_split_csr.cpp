@@ -1,17 +1,20 @@
 // Split-CSR layout (graph/split_csr.hpp): structural invariants of the
-// light-first reorder, and bit-exact parity of the presplit kernels against
-// the branch-filter baseline — distances, labels and every RoundStats
-// counter, on every graph family, flat and partitioned (K ∈ {1, 2, 7}).
+// light-first reorder, and the kernels that walk it — Δ-stepping distances
+// against Dijkstra, Δ-growing labels against the kPull reference, and every
+// model counter against the rows pinned in oracles.hpp, on every graph
+// family, flat and partitioned (K ∈ {1, 2, 7}).
 
 #include "graph/split_csr.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/cluster.hpp"
 #include "core/growing.hpp"
 #include "mr/partition.hpp"
+#include "oracles.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "test_helpers.hpp"
 
@@ -19,6 +22,7 @@ namespace gdiam {
 namespace {
 
 using test::Family;
+using test::key_num;
 
 // ---------------------------------------------------------------------------
 // Structural invariants of the reorder itself.
@@ -125,32 +129,25 @@ TEST(SplitCsrBasics, PresplitCsrMatchesShardArrays) {
 }
 
 // ---------------------------------------------------------------------------
-// Δ-stepping parity: presplit on vs off must agree bit-for-bit on distances
-// and on every counter, for the flat kernel and all partitioned shard counts.
+// Δ-stepping on the presplit layout: distances against Dijkstra and every
+// counter against its pinned row, for the flat kernel and all shard counts.
 
 class DeltaSteppingSplitParity
     : public testing::TestWithParam<std::tuple<Family, std::uint32_t>> {};
 
-TEST_P(DeltaSteppingSplitParity, BitIdenticalToBranchFilter) {
+TEST_P(DeltaSteppingSplitParity, MatchesDijkstraAndPinnedCounters) {
   const auto [family, k] = GetParam();
   const Graph g = test::make_family(family, 200, 23);
   for (const double mult : {0.5, 1.0, 8.0}) {
-    sssp::DeltaSteppingOptions branch;
-    branch.presplit = false;
-    branch.delta = mult * g.avg_weight();
-    branch.partition = {.num_partitions = k,
-                        .strategy = mr::PartitionStrategy::kHash};
-    sssp::DeltaSteppingOptions presplit = branch;
-    presplit.presplit = true;
-
-    const auto a = sssp::delta_stepping(g, 3, branch);
-    const auto b = sssp::delta_stepping(g, 3, presplit);
-    EXPECT_EQ(a.dist, b.dist) << "mult=" << mult;
-    EXPECT_EQ(a.eccentricity, b.eccentricity);
-    EXPECT_EQ(a.farthest, b.farthest);
-    EXPECT_EQ(a.delta_used, b.delta_used);
-    EXPECT_EQ(a.buckets_processed, b.buckets_processed);
-    EXPECT_EQ(a.stats, b.stats) << "mult=" << mult;  // every counter
+    sssp::DeltaSteppingOptions opts;
+    opts.delta = mult * g.avg_weight();
+    opts.partition = {.num_partitions = k,
+                      .strategy = mr::PartitionStrategy::kHash};
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    test::expect_delta_matches_oracles(std::string("split/") +
+                                           test::family_name(family) + "/m" +
+                                           key_num(mult),
+                                       g, 3, opts);
   }
 }
 
@@ -164,7 +161,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Δ-growing parity: per-step labels and counters, for each policy.
+// Δ-growing on the presplit layout: per-step labels and counters of each
+// policy against the kPull reference, totals against the pinned rows.
 
 core::GrowingStepParams uniform_params(Weight delta) {
   core::GrowingStepParams p;
@@ -176,40 +174,31 @@ core::GrowingStepParams uniform_params(Weight delta) {
 class GrowingSplitParity
     : public testing::TestWithParam<std::tuple<Family, std::uint32_t>> {};
 
-TEST_P(GrowingSplitParity, StepsBitIdenticalToBranchFilter) {
+TEST_P(GrowingSplitParity, StepsMatchPullAndPinnedCounters) {
   const auto [family, k] = GetParam();
   const Graph g = test::make_family(family, 200, 55);
   const core::GrowingStepParams p = uniform_params(2.0 * g.avg_weight());
 
   const mr::PartitionOptions popts{.num_partitions = k,
                                    .strategy = mr::PartitionStrategy::kHash};
-  // One engine pair per policy; K only matters for kPartitioned.
+  // K only matters for kPartitioned.
   for (const auto policy :
        {core::GrowingPolicy::kPush, core::GrowingPolicy::kPull,
         core::GrowingPolicy::kPartitioned}) {
-    core::GrowingEngine branch(g, policy, popts);
-    core::GrowingEngine split(g, policy, popts);
-    branch.set_presplit(false);
-    ASSERT_TRUE(split.presplit());
-    for (core::GrowingEngine* e : {&branch, &split}) {
-      e->set_source(0, 0);
-      e->set_source(g.num_nodes() / 3, g.num_nodes() / 3);
-      e->block(2);
-      e->set_source(2, 2);
-      e->rebuild_frontier(p);
-    }
-    for (int step = 0; step < 64; ++step) {
-      const auto ra = branch.step(p);
-      const auto rb = split.step(p);
-      ASSERT_EQ(ra.messages, rb.messages)
-          << "policy " << static_cast<int>(policy) << " step " << step;
-      ASSERT_EQ(ra.updates, rb.updates);
-      ASSERT_EQ(ra.newly_labeled, rb.newly_labeled);
-      ASSERT_EQ(ra.cross_messages, rb.cross_messages);
-      ASSERT_EQ(ra.cross_bytes, rb.cross_bytes);
-      ASSERT_EQ(branch.labels(), split.labels());
-      if (ra.updates == 0) break;
-    }
+    core::GrowingEngine e(g, policy, popts);
+    const test::Counters c = test::grow_against_pull(
+        g, e, {p}, 64, [](core::GrowingEngine& x) {
+          const NodeId n = x.graph().num_nodes();
+          x.set_source(0, 0);
+          x.set_source(n / 3, n / 3);
+          x.block(2);
+          x.set_source(2, 2);
+        });
+    // The default frontier threshold: the same rows test_frontier pins.
+    const std::string key = std::string("grow/") + test::policy_key(policy) +
+                            "/" + test::family_name(family) + "/df" +
+                            key_num(1.0 / 16.0);
+    EXPECT_EQ(c, test::pinned(key)) << key;
   }
 }
 
@@ -224,28 +213,17 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Raising the threshold mid-run (a CLUSTER stage bump) must rebuild the
-// cached split and stay in lockstep with the branch path.
+// cached split and stay in lockstep with the reference.
 TEST(GrowingSplitCache, ThresholdChangeRebuildsSplit) {
   const Graph g = test::make_family(Family::kGnmUniform, 150, 13);
-  core::GrowingEngine branch(g, core::GrowingPolicy::kPush);
   core::GrowingEngine split(g, core::GrowingPolicy::kPush);
-  branch.set_presplit(false);
-  for (core::GrowingEngine* e : {&branch, &split}) {
-    e->set_source(0, 0);
-  }
-  for (const double mult : {1.0, 2.0, 4.0}) {
-    const core::GrowingStepParams p = uniform_params(mult * g.avg_weight());
-    branch.rebuild_frontier(p);
-    split.rebuild_frontier(p);
-    for (int step = 0; step < 32; ++step) {
-      const auto ra = branch.step(p);
-      const auto rb = split.step(p);
-      ASSERT_EQ(ra.messages, rb.messages) << "mult " << mult;
-      ASSERT_EQ(ra.updates, rb.updates);
-      ASSERT_EQ(branch.labels(), split.labels());
-      if (ra.updates == 0) break;
-    }
-  }
+  const Weight w = g.avg_weight();
+  const test::Counters c = test::grow_against_pull(
+      g, split,
+      {uniform_params(1.0 * w), uniform_params(2.0 * w),
+       uniform_params(4.0 * w)},
+      32, [](core::GrowingEngine& x) { x.set_source(0, 0); });
+  EXPECT_EQ(c, test::pinned("grow/push/threshold_bump"));
 }
 
 // Whole-algorithm sanity: CLUSTER with the default presplit engines ends in

@@ -1,14 +1,13 @@
 // Tests for the SSSP substrate: Dijkstra against brute-force APSP, parallel
-// Δ-stepping, ρ-stepping and Bellman–Ford against Dijkstra (parameterized
-// sweeps over graph families, seeds, Δ choices, ρ targets and shard counts),
-// eccentricities, sweep lower bounds.
+// Δ-stepping and Bellman–Ford against Dijkstra (parameterized sweeps over
+// graph families, seeds, Δ choices and shard counts), eccentricities, sweep
+// lower bounds.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <tuple>
 
-#include "exec/context.hpp"
 #include "gen/basic.hpp"
 #include "gen/mesh.hpp"
 #include "gen/weights.hpp"
@@ -16,7 +15,6 @@
 #include "sssp/bellman_ford.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/rho_stepping.hpp"
 #include "sssp/sweep.hpp"
 #include "test_helpers.hpp"
 
@@ -231,166 +229,6 @@ TEST(DeltaStepping, DeterministicAcrossRuns) {
   EXPECT_EQ(a.dist, b.dist);
   EXPECT_EQ(a.stats.messages, b.stats.messages);
   EXPECT_EQ(a.stats.rounds(), b.stats.rounds());
-}
-
-// ---------------------------------------------------------------------------
-// ρ-stepping (sssp/rho_stepping.hpp): exact distances for every family, every
-// batch target ρ from Dijkstra-like (tiny ρ, many steps) to Bellman–Ford-like
-// (huge ρ, one step), and every shard count K — the acceptance criterion is
-// bit-identical distances, not near-equality, because both kernels settle the
-// same min-over-paths fixpoint on the same order-encoded doubles.
-
-class RhoSteppingMatchesDijkstra
-    : public testing::TestWithParam<
-          std::tuple<Family, std::uint64_t, std::uint32_t>> {};
-
-TEST_P(RhoSteppingMatchesDijkstra, DistancesBitIdentical) {
-  const auto [family, rho, k] = GetParam();
-  const Graph g = test::make_family(family, 300, 17);
-  const NodeId source = g.num_nodes() / 3;
-  const auto ref = dijkstra_distances(g, source);
-
-  DeltaSteppingOptions opts;
-  opts.algorithm = exec::Algorithm::kRhoStepping;
-  opts.rho = rho;
-  opts.partition.num_partitions = k;
-  const DeltaSteppingResult r = rho_stepping(g, source, opts);
-  ASSERT_EQ(r.dist.size(), ref.size());
-  EXPECT_EQ(r.dist, ref);
-  EXPECT_EQ(r.algorithm_used, exec::Algorithm::kRhoStepping);
-  EXPECT_EQ(r.rho_used, rho != 0 ? rho : std::max<std::uint64_t>(
-                                             1024, g.num_nodes() / 64));
-  EXPECT_EQ(r.partitions_used, std::max(k, 1u));
-  EXPECT_DOUBLE_EQ(r.dist[r.farthest], r.eccentricity);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    FamiliesTimesRhoTimesK, RhoSteppingMatchesDijkstra,
-    testing::Combine(testing::ValuesIn(test::all_families()),
-                     testing::Values(0u, 8u, 64u, 1000000u),
-                     testing::Values(1u, 2u, 7u)),
-    [](const auto& param_info) {
-      return std::string(test::family_name(std::get<0>(param_info.param))) +
-             "_r" + std::to_string(std::get<1>(param_info.param)) + "_k" +
-             std::to_string(std::get<2>(param_info.param));
-    });
-
-TEST(RhoStepping, DispatcherSelectsKernel) {
-  const Graph g = test::make_family(Family::kGnmUniform, 200, 19);
-  DeltaSteppingOptions opts;
-  const DeltaSteppingResult d = shortest_paths(g, 0, opts);
-  EXPECT_EQ(d.algorithm_used, exec::Algorithm::kDeltaStepping);
-  EXPECT_EQ(d.rho_used, 0u);
-  opts.algorithm = exec::Algorithm::kRhoStepping;
-  const DeltaSteppingResult r = shortest_paths(g, 0, opts);
-  EXPECT_EQ(r.algorithm_used, exec::Algorithm::kRhoStepping);
-  EXPECT_GT(r.rho_used, 0u);
-  EXPECT_DOUBLE_EQ(r.delta_used, 0.0);
-  EXPECT_EQ(r.dist, d.dist);
-}
-
-TEST(RhoStepping, SmallRhoManyStepsHugeRhoFewSteps) {
-  // ρ bounds per-step batch size, so steps track n/ρ: a tiny target must
-  // take many more extract-relax steps than one that swallows the graph.
-  const Graph g = test::make_family(Family::kMeshUniform, 400, 23);
-  DeltaSteppingOptions small_r{.rho = 4};
-  small_r.algorithm = exec::Algorithm::kRhoStepping;
-  DeltaSteppingOptions large_r{.rho = 1u << 20};
-  large_r.algorithm = exec::Algorithm::kRhoStepping;
-  const auto rs = rho_stepping(g, 0, small_r);
-  const auto rl = rho_stepping(g, 0, large_r);
-  EXPECT_GT(rs.buckets_processed, rl.buckets_processed);
-  EXPECT_GT(rs.stats.rounds(), rl.stats.rounds());
-  // Tiny ρ approaches Dijkstra's work profile: fewer re-relaxations than the
-  // one-shot Bellman–Ford-like run.
-  EXPECT_LE(rs.stats.messages, rl.stats.messages * 4);
-  EXPECT_EQ(rs.dist, rl.dist);
-}
-
-TEST(RhoStepping, StatsAreConsistent) {
-  const Graph g = test::make_family(Family::kTreePlusChords, 200, 29);
-  DeltaSteppingOptions opts;
-  opts.algorithm = exec::Algorithm::kRhoStepping;
-  const DeltaSteppingResult r = rho_stepping(g, 0, opts);
-  EXPECT_GT(r.stats.relaxation_rounds, 0u);
-  EXPECT_GT(r.stats.auxiliary_rounds, 0u);  // one threshold scan per step
-  EXPECT_GE(r.stats.node_updates, g.num_nodes() - 1);
-  EXPECT_GE(r.stats.messages, r.stats.node_updates);
-  EXPECT_EQ(r.stats.work(), r.stats.messages + r.stats.node_updates);
-}
-
-TEST(RhoStepping, DeterministicAcrossRunsIncludingCounters) {
-  // The threshold sample is a pure function of the frontier *set* (hash of
-  // seed, step, vertex), so repeated runs must agree on every model counter,
-  // not just distances — the determinism contract of DESIGN.md §11.
-  const Graph g = test::make_family(Family::kRmatGiant, 500, 31);
-  DeltaSteppingOptions opts;
-  opts.rho = 64;  // small enough that sampling actually engages
-  opts.algorithm = exec::Algorithm::kRhoStepping;
-  const auto a = rho_stepping(g, 1, opts);
-  const auto b = rho_stepping(g, 1, opts);
-  EXPECT_EQ(a.dist, b.dist);
-  EXPECT_EQ(a.stats.messages, b.stats.messages);
-  EXPECT_EQ(a.stats.node_updates, b.stats.node_updates);
-  EXPECT_EQ(a.stats.rounds(), b.stats.rounds());
-  EXPECT_EQ(a.buckets_processed, b.buckets_processed);
-}
-
-TEST(RhoStepping, LegacyNonAdaptivePathBitIdentical) {
-  const Graph g = test::make_family(Family::kGnmUniform, 250, 37);
-  DeltaSteppingOptions opts;
-  opts.algorithm = exec::Algorithm::kRhoStepping;
-  const auto adaptive = rho_stepping(g, 2, opts);
-  opts.frontier.adaptive = false;
-  const auto legacy = rho_stepping(g, 2, opts);
-  EXPECT_EQ(adaptive.dist, legacy.dist);
-  EXPECT_EQ(adaptive.eccentricity, legacy.eccentricity);
-}
-
-TEST(RhoStepping, SampledFrontierSizingKeepsDistances) {
-  // The sampled size estimate may reshuffle the sparse/dense schedule of the
-  // improved sets but never the results (core/frontier.hpp).
-  const Graph g = test::make_family(Family::kMeshUniform, 400, 41);
-  DeltaSteppingOptions opts;
-  opts.algorithm = exec::Algorithm::kRhoStepping;
-  const auto exact = rho_stepping(g, 0, opts);
-  opts.frontier.sampled_size_estimate = true;
-  const auto sampled = rho_stepping(g, 0, opts);
-  EXPECT_EQ(exact.dist, sampled.dist);
-  EXPECT_EQ(exact.stats.messages, sampled.stats.messages);
-  EXPECT_EQ(exact.stats.node_updates, sampled.stats.node_updates);
-}
-
-TEST(RhoStepping, BadSourceThrowsAndSingleNodeWorks) {
-  DeltaSteppingOptions opts;
-  opts.algorithm = exec::Algorithm::kRhoStepping;
-  EXPECT_THROW((void)rho_stepping(gen::path(4), 4, opts), std::out_of_range);
-  const Graph g1 = build_graph(1, {});
-  const DeltaSteppingResult r = rho_stepping(g1, 0, opts);
-  EXPECT_DOUBLE_EQ(r.dist[0], 0.0);
-  EXPECT_DOUBLE_EQ(r.eccentricity, 0.0);
-}
-
-TEST(RhoStepping, SweepSharesOneContextAcrossKernels) {
-  // One exec::Context serves a Δ-kernel sweep and then a ρ-kernel sweep on
-  // the same graph: the ρ runs reuse the pooled RoundBuffers (and leave the
-  // Δ-presplit cache alone), and both match the Dijkstra-kernel bound.
-  const Graph g = test::make_family(Family::kMeshUniform, 300, 43);
-  const SweepResult ref = diameter_lower_bound(g, 4, 43);
-
-  exec::Context ctx;
-  SweepOptions so;
-  so.max_sweeps = 4;
-  so.seed = 43;
-  so.use_delta_stepping = true;
-  const SweepResult ds = diameter_lower_bound(g, so, &ctx);
-  so.delta.algorithm = exec::Algorithm::kRhoStepping;
-  const SweepResult rs = diameter_lower_bound(g, so, &ctx);
-
-  EXPECT_DOUBLE_EQ(ds.lower_bound, ref.lower_bound);
-  EXPECT_DOUBLE_EQ(rs.lower_bound, ref.lower_bound);
-  EXPECT_EQ(rs.sources, ref.sources);
-  EXPECT_GT(rs.stats.rounds(), 0u);
 }
 
 TEST(BellmanFord, MatchesDijkstraOnFamilies) {

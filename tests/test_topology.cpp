@@ -334,12 +334,10 @@ TEST_P(PlacementParity, SsspBitIdenticalAcrossPlacementsAndTransports) {
     const ScopedTopology t("0;1");
     for (const mr::PlacementOptions& pl : {rr(), cap()}) {
       opts.placement = pl;
-      // The multi-process transports only exist behind K > 1 (the flat
+      // The multi-process transport only exists behind K > 1 (the flat
       // kernel ignores transport and placement alike).
       std::vector<mr::TransportOptions> transports = {{}};
       if (k > 1) {
-        transports.push_back(
-            {.kind = mr::TransportKind::kProcess, .processes = 2});
         transports.push_back(
             {.kind = mr::TransportKind::kPool, .processes = 2});
       }

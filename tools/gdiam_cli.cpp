@@ -18,7 +18,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "analysis/hop.hpp"
 #include "gdiam.hpp"
@@ -39,35 +42,32 @@ commands:
            [--weights unit|uniform|int|bimodal] [--seed S]
   stats    FILE [--sweeps K]
   estimate FILE [--tau T] [--seed S] [--cluster2] [--classic] [--pull]
-           [--partitions K] [--range-partition] [--no-adaptive]
-           [--sampled-frontier] [--transport local|process|pool]
+           [--partitions K] [--range-partition] [--transport local|pool]
            [--processes P] [--placement none|round-robin|capacity]
            [--repeat N] [--reuse-context | --no-reuse-context]
   decompose FILE --out CLUSTERING.gdcl [--tau T] [--seed S]
             [--quotient QUOTIENT_GRAPH_FILE]
-  sssp     FILE [--source U] [--algorithm delta|rho] [--delta D] [--rho N]
-           [--partitions K] [--range-partition] [--no-adaptive]
-           [--sampled-frontier] [--transport local|process|pool]
+  sssp     FILE [--source U] [--delta D]
+           [--partitions K] [--range-partition] [--transport local|pool]
            [--processes P] [--placement none|round-robin|capacity]
            [--repeat N] [--reuse-context | --no-reuse-context]
   convert  IN OUT
 
---algorithm picks the stepping kernel: delta (Meyer-Sanders buckets of width
---delta; the default) or rho (PASGAL-style batches of the ~N closest frontier
-nodes, --rho N, 0 = auto). Both return exact, bit-identical distances; they
-trade rounds against work differently (DESIGN.md section 11).
+Every command rejects flags it does not know with this usage error.
+
+sssp runs Delta-stepping (Meyer-Sanders buckets of width --delta; 0, the
+default, picks the average edge weight).
 
 --partitions K > 1 runs the kernels on the sharded BSP engine (K shards,
 hash partitioner unless --range-partition) and reports the cross-partition
 communication volume alongside rounds and work.
 
---processes P (or --transport process) additionally fans each BSP superstep
-out over P forked worker processes exchanging messages over Unix-domain
-sockets: results are bit-identical to the in-process transport, and the cost
-line gains the genuinely-crossed wire=.../... traffic. Requires
---partitions K > 1. --transport pool keeps those P workers resident across
-supersteps (fork once, ship per-step inputs over persistent sockets) — the
-serving configuration gdiamd runs hot graphs on; results stay bit-identical.
+--processes P (or --transport pool, default P = 2) additionally fans each
+BSP superstep out over P resident worker processes (fork once, ship per-step
+inputs over persistent Unix-domain sockets) — the serving configuration
+gdiamd runs hot graphs on. Results are bit-identical to the in-process
+transport, and the cost line gains the genuinely-crossed wire=.../...
+traffic. Requires --partitions K > 1.
 
 --placement maps the K shards onto the machine's NUMA nodes (round-robin or
 capacity-balanced; DESIGN.md section 13): shard compute is pinned to its
@@ -75,13 +75,6 @@ node, shard layouts are first-touched there, and the cost line gains the
 xnode=.../... cross-node traffic. The GDIAM_TOPOLOGY env var overrides the
 detected topology (e.g. "0-3;4-7"). Distances and model counters are
 bit-identical across placements; requires --partitions K > 1.
-
---no-adaptive disables the adaptive sparse/dense frontier engine and runs
-the legacy full-scan round paths (A/B baseline; results are identical, the
-cost line just loses its modes=S/D classification). --sampled-frontier
-replaces the exact sealed-size count in the frontier's dense->sparse switch
-with a ~1024-probe estimate (noise-margin guarded; results identical, only
-the representation schedule can move).
 
 --repeat N runs the estimate / sssp kernel N times and prints per-run wall
 times. By default every repetition shares one exec::Context (pooled engines
@@ -134,29 +127,45 @@ mr::PartitionOptions parse_partition(const util::Options& o) {
 }
 
 /// Shared --transport / --processes parsing (estimate and sssp). --processes
-/// alone implies the process transport; the multi-process backends only
-/// exist behind the BSP engine, so they require --partitions K > 1.
+/// alone implies the pool transport; the multi-process backend only exists
+/// behind the BSP engine, so it requires --partitions K > 1.
 mr::TransportOptions parse_transport(const util::Options& o,
                                      const mr::PartitionOptions& p) {
   mr::TransportOptions t;
   const std::string kind = o.get_string("transport", "");
-  if (!kind.empty() && kind != "local" && kind != "process" &&
-      kind != "pool") {
-    usage("--transport must be local, process or pool");
+  if (!kind.empty() && kind != "local" && kind != "pool") {
+    usage("--transport must be local or pool");
   }
   if (kind == "local" && o.has("processes")) {
     usage("--transport local and --processes conflict");
   }
-  if (kind == "process" || kind == "pool" || o.has("processes")) {
-    t.kind = kind == "pool" ? mr::TransportKind::kPool
-                            : mr::TransportKind::kProcess;
+  if (kind == "pool" || o.has("processes")) {
+    t.kind = mr::TransportKind::kPool;
     t.processes = o.get_uint32("processes", 2);
     if (t.processes == 0) usage("--processes must be >= 1");
     if (p.num_partitions <= 1) {
-      usage("--transport process/pool / --processes requires --partitions K > 1");
+      usage("--transport pool / --processes requires --partitions K > 1");
     }
   }
   return t;
+}
+
+/// The execution flags estimate and sssp share.
+constexpr std::string_view kExecFlags[] = {
+    "partitions", "range-partition", "transport",     "processes",
+    "placement",  "repeat",          "reuse-context", "no-reuse-context"};
+
+/// Exits with the usage error when `o` carries a flag outside `known` (plus
+/// kExecFlags when `exec_flags`): a retired or misspelled flag must not
+/// silently run the default path.
+void require_known(const util::Options& o, std::vector<std::string_view> known,
+                   bool exec_flags = false) {
+  if (exec_flags) {
+    known.insert(known.end(), std::begin(kExecFlags), std::end(kExecFlags));
+  }
+  if (const auto name = o.first_unknown(known)) {
+    usage(("unknown flag --" + *name).c_str());
+  }
 }
 
 /// Shared --placement parsing (estimate and sssp). Placement only exists
@@ -219,6 +228,8 @@ Graph apply_weights(const Graph& g, const std::string& kind,
 }
 
 int cmd_generate(const util::Options& o) {
+  require_known(o, {"family", "out", "seed", "side", "scale", "edge-factor",
+                    "nodes", "edges", "weights"});
   const std::string family = o.get_string("family", "mesh");
   const std::string out = o.get_string("out", "");
   if (out.empty()) usage("generate requires --out");
@@ -254,6 +265,7 @@ int cmd_generate(const util::Options& o) {
 }
 
 int cmd_stats(const util::Options& o) {
+  require_known(o, {"sweeps"});
   if (o.positional().size() < 2) usage("stats requires a graph file");
   const Graph g = load(o.positional()[1]);
   const Components cc = connected_components(g);
@@ -279,11 +291,10 @@ int cmd_stats(const util::Options& o) {
 }
 
 int cmd_estimate(const util::Options& o) {
+  require_known(o, {"tau", "seed", "cluster2", "classic", "pull"},
+                /*exec_flags=*/true);
   if (o.positional().size() < 2) usage("estimate requires a graph file");
-  const Graph g = load(o.positional()[1]);
   core::DiameterApproxOptions opt;
-  opt.cluster.tau = static_cast<std::uint32_t>(o.get_int(
-      "tau", core::tau_for_cluster_target(g.num_nodes(), g.num_nodes() / 4)));
   opt.cluster.seed = static_cast<std::uint64_t>(o.get_int("seed", 1));
   opt.use_cluster2 = o.get_bool("cluster2", false);
   opt.radius_aware = !o.get_bool("classic", false);
@@ -299,10 +310,10 @@ int cmd_estimate(const util::Options& o) {
   }
   opt.cluster.transport = parse_transport(o, opt.cluster.partition);
   opt.cluster.placement = parse_placement(o, opt.cluster.partition);
-  opt.cluster.frontier.adaptive = !o.get_bool("no-adaptive", false);
-  opt.cluster.frontier.sampled_size_estimate =
-      o.get_bool("sampled-frontier", false);
   const RepeatOptions rep = parse_repeat(o);
+  const Graph g = load(o.positional()[1]);
+  opt.cluster.tau = static_cast<std::uint32_t>(o.get_int(
+      "tau", core::tau_for_cluster_target(g.num_nodes(), g.num_nodes() / 4)));
 
   // One context for every repetition (the default), or a fresh one per run
   // (--no-reuse-context): the reproducible command-line version of the
@@ -333,6 +344,7 @@ int cmd_estimate(const util::Options& o) {
 }
 
 int cmd_decompose(const util::Options& o) {
+  require_known(o, {"out", "tau", "seed", "quotient"});
   if (o.positional().size() < 2) usage("decompose requires a graph file");
   const std::string out = o.get_string("out", "");
   if (out.empty()) usage("decompose requires --out");
@@ -361,24 +373,16 @@ int cmd_decompose(const util::Options& o) {
 }
 
 int cmd_sssp(const util::Options& o) {
+  require_known(o, {"source", "delta"}, /*exec_flags=*/true);
   if (o.positional().size() < 2) usage("sssp requires a graph file");
-  const Graph g = load(o.positional()[1]);
   const auto source = static_cast<NodeId>(o.get_int("source", 0));
   sssp::DeltaSteppingOptions opt;
-  const std::string algo = o.get_string("algorithm", "delta");
-  if (algo == "rho") {
-    opt.algorithm = exec::Algorithm::kRhoStepping;
-  } else if (algo != "delta") {
-    usage("--algorithm must be delta or rho");
-  }
   opt.delta = o.get_double("delta", 0.0);
-  opt.rho = static_cast<std::uint64_t>(o.get_int("rho", 0));
   opt.partition = parse_partition(o);
   opt.transport = parse_transport(o, opt.partition);
   opt.placement = parse_placement(o, opt.partition);
-  opt.frontier.adaptive = !o.get_bool("no-adaptive", false);
-  opt.frontier.sampled_size_estimate = o.get_bool("sampled-frontier", false);
   const RepeatOptions rep = parse_repeat(o);
+  const Graph g = load(o.positional()[1]);
 
   exec::Context shared_ctx;
   warm_from_mapping(g, shared_ctx);
@@ -388,7 +392,7 @@ int cmd_sssp(const util::Options& o) {
     exec::Context fresh_ctx;
     exec::Context& ctx = rep.reuse_context ? shared_ctx : fresh_ctx;
     util::Timer t;
-    r = sssp::shortest_paths(g, source, opt, &ctx);
+    r = sssp::delta_stepping(g, source, opt, &ctx);
     if (rep.repeat > 1) {
       std::printf("run %-3u        %s  (%s context)\n", run + 1,
                   util::format_duration(t.seconds()).c_str(),
@@ -403,6 +407,7 @@ int cmd_sssp(const util::Options& o) {
 }
 
 int cmd_convert(const util::Options& o) {
+  require_known(o, {});
   if (o.positional().size() < 3) usage("convert requires IN and OUT files");
   const Graph g = load(o.positional()[1]);
   store(g, o.positional()[2]);
@@ -422,6 +427,7 @@ int main(int argc, char** argv) {
     // the daemon (GDIAM_FAULTS; DESIGN.md §12).
     util::fault::arm_from_env();
     const util::Options opts(argc, argv);
+    if (opts.has("help")) usage();
     if (cmd == "generate") return cmd_generate(opts);
     if (cmd == "stats") return cmd_stats(opts);
     if (cmd == "estimate") return cmd_estimate(opts);

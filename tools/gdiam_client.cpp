@@ -5,14 +5,18 @@
 //
 // Verbs (see src/serve/protocol.hpp for the wire format):
 //   estimate  — CL-DIAM approximation; fields: graph= (required), tau=,
-//               seed=, cluster2=, classic=, partitions=, transport=,
-//               processes=, adaptive=, sampled-frontier=
-//   sssp      — stepping-kernel SSSP; fields: graph= (required), source=,
-//               algorithm= (delta|rho), delta=, rho=, partitions=,
-//               transport=, processes=, adaptive=, sampled-frontier=
+//               seed=, cluster2=, classic=, partitions=, range-partition=,
+//               transport= (local|pool), processes=
+//   sssp      — Δ-stepping SSSP; fields: graph= (required), source=,
+//               delta=, partitions=, range-partition=, transport=
+//               (local|pool), processes=
 //   load      — preload a graph into the daemon's hot set
 //   stats     — serving counters and the resident-graph table
 //   shutdown  — ask the daemon to exit
+//   fault     — arm (spec=) or clear (clear=1) a fault schedule
+//
+// Every verb also takes id= and the queued verbs deadline_ms=; the daemon
+// answers a field its verb does not read with a bad_request error.
 //
 // The response body prints to stdout byte-for-byte — for estimate/sssp that
 // is exactly the block the one-shot `gdiam estimate` / `gdiam sssp` CLI
@@ -26,7 +30,7 @@
 // --retry-ms R retries a refused/absent socket for up to R ms with capped
 // exponential backoff + jitter (default 2000) — "client before daemon
 // finished binding" is a race, not an error. --timeout-ms T attaches a
-// deadline_ms=T field to every query: the daemon answers
+// deadline_ms=T field to every estimate/sssp/load: the daemon answers
 // `deadline_exceeded` instead of serving a request whose budget expired
 // in its queue.
 //
@@ -64,7 +68,7 @@ fields are passed as key=value arguments, e.g.:
   gdiam_client stats
   gdiam_client fault spec="net.send=errno:EPIPE@3"
 
---timeout-ms T  attach deadline_ms=T to each request (0 = none)
+--timeout-ms T  attach deadline_ms=T to each estimate/sssp/load (0 = none)
 --retry-ms R    retry a refused/absent socket for up to R ms with
                 backoff (default 2000; 0 = fail on the first attempt)
 )");
@@ -158,7 +162,12 @@ int main(int argc, char** argv) {
       }
       req.set(arg.substr(0, eq), arg.substr(eq + 1));
     }
-    if (timeout_ms > 0) req.set("deadline_ms", std::to_string(timeout_ms));
+    // Only the queued verbs read a deadline; the daemon rejects fields a
+    // verb does not read.
+    const bool queued = verb == "estimate" || verb == "sssp" || verb == "load";
+    if (timeout_ms > 0 && queued) {
+      req.set("deadline_ms", std::to_string(timeout_ms));
+    }
 
     serve::Message primary;
     std::vector<std::thread> threads;

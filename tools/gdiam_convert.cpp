@@ -89,8 +89,11 @@ bool verify_output(const Graph& src, const std::string& path) {
     std::fprintf(stderr, "verify: mapped CSR differs from source\n");
     return false;
   }
-  if (src.min_weight() != g.min_weight() ||
-      src.max_weight() != g.max_weight() ||
+  // The header's stats must be exactly what weight_stats computes from the
+  // mapped weights — the same definition every ingest path uses.
+  const WeightStats fresh_stats = weight_stats(g.edge_weights());
+  if (fresh_stats.min != g.min_weight() || fresh_stats.max != g.max_weight() ||
+      fresh_stats.avg != g.avg_weight() ||
       src.avg_weight() != g.avg_weight()) {
     std::fprintf(stderr, "verify: persisted weight stats differ\n");
     return false;

@@ -103,17 +103,17 @@ def test_speedup_metadata_drop_is_gated_but_other_metadata_is_not():
     with tempfile.TemporaryDirectory() as d:
         base = write_json(
             d, "base.json",
-            bench_doc({"BM_X": 1.0}, rho_vs_delta_speedup_road=2.0, threads=8),
+            bench_doc({"BM_X": 1.0}, relax_light_split_speedup=2.0, threads=8),
         )
         # threads halves (informational: no flag), the tracked speedup ratio
         # halves too (higher-is-better A/B: flagged as a regression).
         cand = write_json(
             d, "cand.json",
-            bench_doc({"BM_X": 1.0}, rho_vs_delta_speedup_road=1.0, threads=4),
+            bench_doc({"BM_X": 1.0}, relax_light_split_speedup=1.0, threads=4),
         )
         r = run_diff(base, cand, "--tolerance", "0.15")
         assert r.returncode == 1, r.stdout + r.stderr
-        assert "rho_vs_delta_speedup_road: 2 -> 1" in r.stdout, r.stdout
+        assert "relax_light_split_speedup: 2 -> 1" in r.stdout, r.stdout
         for line in r.stdout.splitlines():
             if "threads" in line:
                 assert "REGRESSION" not in line, r.stdout
