@@ -2,16 +2,7 @@
 // The paper scales Spark over 2..16 machines on R-MAT(26) and roads(3)
 // (similar node counts, different topology); here the parallel resource is
 // OpenMP threads.
-//
-// A second section A/Bs NUMA placement (DESIGN.md §13): the same partitioned
-// SSSP run unpinned (--placement none) vs pinned (round-robin over the
-// machine's nodes, shard layouts first-touched on their node). The
-// numa_placement_speedup_* JSON fields feed bench_diff's warn-only gate: on
-// a single-node machine (CI) the pin degrades to a no-op and the speedup
-// hovers around 1.0 by construction; on real multi-socket hardware it is
-// the figure-of-merit the tentpole exists for.
 
-#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -24,10 +15,8 @@
 #include "gen/road.hpp"
 #include "gen/weights.hpp"
 #include "graph/components.hpp"
-#include "mr/placement.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "util/options.hpp"
-#include "util/topology.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -52,39 +41,6 @@ double time_sssp(const Graph& g) {
   util::Timer t;
   (void)sssp::delta_stepping(g, 0);
   return t.seconds();
-}
-
-/// One graph's pinned-vs-unpinned A/B: identical partitioned Δ-stepping run,
-/// placement off vs round-robin over the discovered topology (best of 3 each
-/// to damp scheduler noise). Results are bit-identical by contract; only the
-/// wall clock and the placement-derived cross-node counters differ.
-struct PlacementAb {
-  double unpinned = 0.0;
-  double pinned = 0.0;
-  std::uint64_t cross_node_messages = 0;
-  std::uint64_t cross_node_bytes = 0;
-};
-
-PlacementAb placement_ab(const Graph& g, std::uint32_t shards) {
-  sssp::DeltaSteppingOptions o;
-  o.partition.num_partitions = shards;
-  PlacementAb out;
-  out.unpinned = 1e300;
-  out.pinned = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    o.placement.strategy = mr::PlacementStrategy::kNone;
-    util::Timer tu;
-    (void)sssp::delta_stepping(g, 0, o);
-    out.unpinned = std::min(out.unpinned, tu.seconds());
-
-    o.placement.strategy = mr::PlacementStrategy::kRoundRobin;
-    util::Timer tp;
-    const auto r = sssp::delta_stepping(g, 0, o);
-    out.pinned = std::min(out.pinned, tp.seconds());
-    out.cross_node_messages = r.stats.cross_node_messages;
-    out.cross_node_bytes = r.stats.cross_node_bytes;
-  }
-  return out;
 }
 
 }  // namespace
@@ -162,45 +118,6 @@ int main(int argc, char** argv) {
 
   table.print(std::cout);
 
-  // NUMA placement A/B at full parallelism: same partitioned run, unpinned
-  // vs round-robin-pinned. On CI's single node this is a sanity check that
-  // placement costs nothing; on multi-socket hardware it is the payoff.
-  const auto topo = util::topo::discover();
-  std::cerr << "  [running] placement A/B (nodes=" << topo.num_nodes()
-            << ")\n";
-  util::set_num_threads(max_threads);
-  const std::uint32_t shards = 8;
-  const PlacementAb ab_rmat = placement_ab(rmat_g, shards);
-  const PlacementAb ab_roads = placement_ab(roads_g, shards);
-  util::set_num_threads(prev);
-
-  util::Table ptable({"graph", "unpinned", "pinned", "speedup",
-                      "xnode msgs", "xnode bytes"});
-  const auto prow = [&ptable](const char* name, const PlacementAb& ab) {
-    ptable.row()
-        .cell(name)
-        .cell(util::format_duration(ab.unpinned))
-        .cell(util::format_duration(ab.pinned))
-        .num(ab.unpinned / ab.pinned, 2)
-        .cell(std::to_string(ab.cross_node_messages))
-        .cell(std::to_string(ab.cross_node_bytes));
-  };
-  prow("R-MAT", ab_rmat);
-  prow("roads", ab_roads);
-  std::printf("\nNUMA placement A/B (K=%u shards, round-robin vs none):\n",
-              shards);
-  ptable.print(std::cout);
-
-  report.put("topology_nodes", static_cast<std::uint64_t>(topo.num_nodes()));
-  report.put("topology_cpus", static_cast<std::uint64_t>(topo.total_cpus()));
-  report.put("placement_shards", static_cast<std::uint64_t>(shards));
-  report.put("numa_placement_speedup_rmat", ab_rmat.unpinned / ab_rmat.pinned);
-  report.put("numa_placement_speedup_roads",
-             ab_roads.unpinned / ab_roads.pinned);
-  report.put("rmat_cross_node_messages", ab_rmat.cross_node_messages);
-  report.put("rmat_cross_node_bytes", ab_rmat.cross_node_bytes);
-  report.put("roads_cross_node_messages", ab_roads.cross_node_messages);
-  report.put("roads_cross_node_bytes", ab_roads.cross_node_bytes);
   report.write();
   std::printf(
       "\nexpected shape (paper, Fig. 4): time decreases as parallelism\n"

@@ -6,8 +6,6 @@
 #include <span>
 
 #include "exec/context.hpp"
-#include "mr/placement.hpp"
-#include "util/topology.hpp"
 
 namespace gdiam::core {
 
@@ -22,13 +20,8 @@ GrowingEngine::GrowingEngine(const Graph& g, GrowingPolicy policy,
       owned_partition_ = std::make_unique<mr::Partition>(g_, popts_);
       partition_ = owned_partition_.get();
     }
-    mr::PlacementPlan plan = mr::resolve_placement(
-        popts_placement_, partition_->num_partitions());
-    transport_ = mr::Launcher::make_transport(
-        topts_, partition_->num_partitions(), plan);
-    bsp_ = std::make_unique<mr::BspEngine>(*partition_, transport_.get());
+    rebuild_transport();
     exchange_.resize(partition_->num_partitions());
-    exchange_.set_node_map(plan.node_of_shard());
   }
   reset();
 }
@@ -42,25 +35,10 @@ void GrowingEngine::set_transport_options(const mr::TransportOptions& opts) {
   rebuild_transport();
 }
 
-void GrowingEngine::set_placement_options(const mr::PlacementOptions& opts) {
-  if (policy_ != GrowingPolicy::kPartitioned || opts == popts_placement_) {
-    popts_placement_ = opts;
-    return;
-  }
-  // The plan can also change under a fixed strategy when GDIAM_TOPOLOGY
-  // changed between runs on a pooled engine; rebuild_transport re-resolves
-  // it, so switching options is always sufficient to re-place.
-  popts_placement_ = opts;
-  rebuild_transport();
-}
-
 void GrowingEngine::rebuild_transport() {
-  mr::PlacementPlan plan =
-      mr::resolve_placement(popts_placement_, partition_->num_partitions());
-  transport_ = mr::Launcher::make_transport(
-      topts_, partition_->num_partitions(), plan);
+  transport_ =
+      mr::Launcher::make_transport(topts_, partition_->num_partitions());
   bsp_ = std::make_unique<mr::BspEngine>(*partition_, transport_.get());
-  exchange_.set_node_map(plan.node_of_shard());
 }
 
 void GrowingEngine::reset() {
@@ -162,16 +140,9 @@ void GrowingEngine::ensure_split(Weight threshold) {
     if (ctx_ != nullptr) {
       shard_splits_ = &ctx_->shard_splits_for(g_, popts_, threshold);
     } else {
-      // First-touch each shard's split on its placement node, mirroring the
-      // context-backed path (exec::Context::shard_splits_for). No-op binds
-      // under an inactive plan.
-      const mr::PlacementPlan plan = mr::resolve_placement(
-          popts_placement_, partition_->num_partitions());
       shard_splits_own_.clear();
       shard_splits_own_.reserve(partition_->num_partitions());
-      for (mr::ShardId s = 0; s < partition_->num_partitions(); ++s) {
-        const mr::Shard& sh = partition_->shards()[s];
-        util::topo::ScopedAffinity bind(plan.cpus_of_node(plan.node_of(s)));
+      for (const mr::Shard& sh : partition_->shards()) {
         shard_splits_own_.push_back(
             presplit_csr(sh.offsets, sh.targets, sh.weights, threshold));
       }
@@ -510,15 +481,15 @@ GrowingStepResult GrowingEngine::step_partitioned(
   const std::uint32_t k = partition_->num_partitions();
   const bool dense = afrontier_.collect_mode() == FrontierMode::kDense;
   (dense ? out.dense_rounds : out.sparse_rounds) = 1;
-  // Resident transport (PoolTransport): the frozen worker closures can't see
+  // Remote transport (PoolTransport): the frozen worker closures can't see
   // this step's labels_/afrontier_/params, so the active set is enumerated
   // here, in this mode's exact order, and shipped; the workers replay edges
   // through pool_compute_shard, which stages owned-target proposals as
   // loopback records that apply folds like routed ones (DESIGN.md §9). The
   // in-process compute below therefore only ever runs on LocalTransport.
-  const bool resident = bsp_->resident_compute();
+  const bool remote = bsp_->remote_compute();
   mr::StepInputCodec pool_codec;
-  if (resident) {
+  if (remote) {
     build_pool_senders(params, dense);
     pool_codec = make_pool_codec();
   }
@@ -536,7 +507,7 @@ GrowingStepResult GrowingEngine::step_partitioned(
   std::vector<std::uint64_t> shard_newly(k, 0);
 
   auto compute = [&](const mr::Shard& sh, mr::Exchange<LabelProposal>& ex) {
-    if (resident) {  // shipped senders; frame-locals below stay untouched
+    if (remote) {  // shipped senders; frame-locals below stay untouched
       pool_compute_shard(sh, ex, shard_messages[sh.id]);
       return;
     }
@@ -624,7 +595,7 @@ GrowingStepResult GrowingEngine::step_partitioned(
   const mr::ExchangeCounters traffic = bsp_->superstep(
       exchange_, compute, apply, nullptr,
       std::span<std::uint64_t>(shard_messages.data(), shard_messages.size()),
-      resident ? &pool_codec : nullptr);
+      remote ? &pool_codec : nullptr);
 
   shard_active_.swap(shard_active_next_);
   afrontier_.advance();
@@ -635,8 +606,6 @@ GrowingStepResult GrowingEngine::step_partitioned(
   }
   out.cross_messages = traffic.cross_messages;
   out.cross_bytes = traffic.cross_bytes;
-  out.cross_node_messages = traffic.cross_node_messages;
-  out.cross_node_bytes = traffic.cross_node_bytes;
   out.wire_messages = traffic.wire_messages;
   out.wire_bytes = traffic.wire_bytes;
   return out;

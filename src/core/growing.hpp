@@ -88,11 +88,6 @@ struct GrowingStepResult {
   /// (kPartitioned only; a subset of `messages`, zero for K = 1).
   std::uint64_t cross_messages = 0;
   std::uint64_t cross_bytes = 0;
-  /// The subset of cross traffic whose endpoints the placement plan homes
-  /// on different NUMA nodes (mr/placement.hpp; zero without an active
-  /// plan's node map — see Exchange::set_node_map).
-  std::uint64_t cross_node_messages = 0;
-  std::uint64_t cross_node_bytes = 0;
   /// Records/bytes that crossed a *process* boundary (kPartitioned under
   /// TransportKind::kPool only; see mr/transport.hpp).
   std::uint64_t wire_messages = 0;
@@ -187,17 +182,6 @@ class GrowingEngine {
     return topts_;
   }
 
-  /// Selects the NUMA placement the kPartitioned supersteps run under
-  /// (mr/placement.hpp, DESIGN.md §13). Same contract as
-  /// set_transport_options: rebuilds the transport only when the effective
-  /// plan changes, labels and model counters are bit-identical either way —
-  /// only binding, cross_node counters and the wall clock move.
-  void set_placement_options(const mr::PlacementOptions& opts);
-  [[nodiscard]] const mr::PlacementOptions& placement_options()
-      const noexcept {
-    return popts_placement_;
-  }
-
   /// The transport the kPartitioned supersteps run on; nullptr for
   /// kPush/kPull. Exposed for lifecycle observability (daemon stats) and
   /// the fault-injection tests, which kill a PoolTransport worker pid and
@@ -232,8 +216,6 @@ class GrowingEngine {
       stats.node_updates += r.updates;
       stats.cross_messages += r.cross_messages;
       stats.cross_bytes += r.cross_bytes;
-      stats.cross_node_messages += r.cross_node_messages;
-      stats.cross_node_bytes += r.cross_node_bytes;
       stats.wire_messages += r.wire_messages;
       stats.wire_bytes += r.wire_bytes;
       stats.sparse_rounds += r.sparse_rounds;
@@ -243,8 +225,6 @@ class GrowingEngine {
       out.totals.newly_labeled += r.newly_labeled;
       out.totals.cross_messages += r.cross_messages;
       out.totals.cross_bytes += r.cross_bytes;
-      out.totals.cross_node_messages += r.cross_node_messages;
-      out.totals.cross_node_bytes += r.cross_node_bytes;
       out.totals.wire_messages += r.wire_messages;
       out.totals.wire_bytes += r.wire_bytes;
       out.totals.sparse_rounds += r.sparse_rounds;
@@ -300,8 +280,7 @@ class GrowingEngine {
 
   /// (Re)builds the split caches for `threshold` if missing or stale.
   void ensure_split(Weight threshold);
-  /// Re-resolves the placement plan and remakes transport_/bsp_ under the
-  /// current (topts_, popts_placement_); installs the plan's node map.
+  /// Remakes transport_/bsp_ under the current topts_.
   void rebuild_transport();
 
   /// Budget of the cluster centered at `c` under `params`.
@@ -324,7 +303,6 @@ class GrowingEngine {
   std::unique_ptr<mr::Partition> owned_partition_;
   const mr::Partition* partition_ = nullptr;
   mr::TransportOptions topts_;
-  mr::PlacementOptions popts_placement_;
   std::unique_ptr<mr::Transport> transport_;
   std::unique_ptr<mr::BspEngine> bsp_;
   mr::Exchange<LabelProposal> exchange_;

@@ -44,7 +44,6 @@ class PartialGrowthDriver {
         uncovered_(g.num_nodes()) {
     engine_.set_frontier_options(opts.frontier);
     engine_.set_transport_options(opts.transport);
-    engine_.set_placement_options(opts.placement);
     engine_.reset();
     out_.center_of.assign(g.num_nodes(), kInvalidNode);
     out_.dist_to_center.assign(g.num_nodes(), kInfiniteWeight);

@@ -5,8 +5,6 @@
 
 #include "core/growing.hpp"
 #include "graph/binfmt.hpp"
-#include "mr/placement.hpp"
-#include "util/topology.hpp"
 
 namespace gdiam::exec {
 
@@ -49,41 +47,33 @@ mr::RoundStats StatsSink::total() const noexcept {
 }
 
 Context::Context() = default;
-Context::Context(const ExecOptions& opts) : opts_(opts) {}
 Context::~Context() = default;
 
 const SplitCsr& Context::split_for(const Graph& g, Weight delta) {
-  // The fingerprint is re-derived per call: GDIAM_TOPOLOGY (and
-  // opts_.placement) can legitimately change between calls on a reused
-  // context, and a layout first-touched under the old plan must miss.
-  const std::uint64_t pfp = mr::placement_fingerprint(opts_.placement);
   for (std::size_t i = 0; i < splits_.size(); ++i) {
-    if (splits_[i].key.matches(g) && splits_[i].delta == delta &&
-        splits_[i].pfp == pfp) {
+    if (splits_[i].key.matches(g) && splits_[i].delta == delta) {
       touch(splits_, i);
       return *splits_.front().split;
     }
   }
   if (splits_.size() >= kMaxSplits) splits_.pop_back();  // evict LRU
   splits_.insert(splits_.begin(),
-                 SplitEntry{GraphKey::of(g), delta, pfp,
+                 SplitEntry{GraphKey::of(g), delta,
                             std::make_unique<SplitCsr>(g, delta)});
   return *splits_.front().split;
 }
 
 const mr::Partition& Context::partition_for(const Graph& g,
                                             const mr::PartitionOptions& opts) {
-  const std::uint64_t pfp = mr::placement_fingerprint(opts_.placement);
   for (std::size_t i = 0; i < partitions_.size(); ++i) {
     if (partitions_[i].key.matches(g) &&
-        same_partition_opts(partitions_[i].opts, opts) &&
-        partitions_[i].pfp == pfp) {
+        same_partition_opts(partitions_[i].opts, opts)) {
       touch(partitions_, i);
       return *partitions_.front().partition;
     }
   }
   partitions_.insert(partitions_.begin(),
-                     PartitionEntry{GraphKey::of(g), opts, pfp,
+                     PartitionEntry{GraphKey::of(g), opts,
                                     std::make_unique<mr::Partition>(g, opts)});
   return *partitions_.front().partition;
 }
@@ -97,31 +87,22 @@ const mr::Partition* Context::find_partition(const Graph& g) const {
 
 const std::vector<CsrSplit>& Context::shard_splits_for(
     const Graph& g, const mr::PartitionOptions& opts, Weight delta) {
-  const std::uint64_t pfp = mr::placement_fingerprint(opts_.placement);
   const mr::Partition& part = partition_for(g, opts);
   for (std::size_t i = 0; i < shard_splits_.size(); ++i) {
     if (shard_splits_[i].partition == &part &&
-        shard_splits_[i].delta == delta && shard_splits_[i].pfp == pfp) {
+        shard_splits_[i].delta == delta) {
       touch(shard_splits_, i);
       return *shard_splits_.front().splits;
     }
   }
-  // Build each shard's presplit with the building thread bound to the
-  // shard's NUMA node, so the split's arrays are first-touched — and
-  // therefore page-placed — where that shard's compute will run. With an
-  // inactive plan the bind is a no-op and this is the old serial build.
-  const mr::PlacementPlan plan =
-      mr::resolve_placement(opts_.placement, part.num_partitions());
   auto splits = std::make_unique<std::vector<CsrSplit>>();
   splits->reserve(part.num_partitions());
-  for (mr::ShardId s = 0; s < part.num_partitions(); ++s) {
-    const mr::Shard& sh = part.shards()[s];
-    util::topo::ScopedAffinity bind(plan.cpus_of_node(plan.node_of(s)));
+  for (const mr::Shard& sh : part.shards()) {
     splits->push_back(presplit_csr(sh.offsets, sh.targets, sh.weights, delta));
   }
   if (shard_splits_.size() >= kMaxSplits) shard_splits_.pop_back();
   shard_splits_.insert(shard_splits_.begin(),
-                       ShardSplitEntry{&part, delta, pfp, std::move(splits)});
+                       ShardSplitEntry{&part, delta, std::move(splits)});
   return *shard_splits_.front().splits;
 }
 
@@ -131,7 +112,6 @@ std::size_t Context::adopt_presplits(const Graph& g, const io::MappedGraph& m) {
         io::BinfmtErrc::kFingerprintMismatch,
         "presplit adoption: graph is not a view of this mapping");
   }
-  const std::uint64_t pfp = mr::placement_fingerprint(opts_.placement);
   // Stage everything first: a kBadPresplit thrown by the third sidecar must
   // not leave the first two behind in the cache.
   std::vector<SplitEntry> staged;
@@ -139,7 +119,7 @@ std::size_t Context::adopt_presplits(const Graph& g, const io::MappedGraph& m) {
     if (has_split(g, delta)) continue;
     CsrSplit data;
     if (!m.load_presplit(delta, data)) continue;
-    staged.push_back(SplitEntry{GraphKey::of(g), delta, pfp,
+    staged.push_back(SplitEntry{GraphKey::of(g), delta,
                                 std::make_unique<SplitCsr>(g, delta,
                                                            std::move(data))});
   }
@@ -151,9 +131,8 @@ std::size_t Context::adopt_presplits(const Graph& g, const io::MappedGraph& m) {
 }
 
 bool Context::has_split(const Graph& g, Weight delta) const {
-  const std::uint64_t pfp = mr::placement_fingerprint(opts_.placement);
   for (const auto& e : splits_) {
-    if (e.key.matches(g) && e.delta == delta && e.pfp == pfp) return true;
+    if (e.key.matches(g) && e.delta == delta) return true;
   }
   return false;
 }
@@ -161,18 +140,16 @@ bool Context::has_split(const Graph& g, Weight delta) const {
 core::GrowingEngine& Context::growing_engine(const Graph& g,
                                              core::GrowingPolicy policy,
                                              const mr::PartitionOptions& popts) {
-  const std::uint64_t pfp = mr::placement_fingerprint(opts_.placement);
   for (std::size_t i = 0; i < engines_.size(); ++i) {
     if (engines_[i].key.matches(g) && engines_[i].policy == policy &&
-        same_partition_opts(engines_[i].popts, popts) &&
-        engines_[i].pfp == pfp) {
+        same_partition_opts(engines_[i].popts, popts)) {
       touch(engines_, i);
       return *engines_.front().engine;
     }
   }
   engines_.insert(
       engines_.begin(),
-      EngineEntry{GraphKey::of(g), policy, popts, pfp,
+      EngineEntry{GraphKey::of(g), policy, popts,
                   std::make_unique<core::GrowingEngine>(g, policy, popts,
                                                         this)});
   return *engines_.front().engine;

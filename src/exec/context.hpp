@@ -20,9 +20,7 @@
 //       kernel calls;
 //   (c) a StatsSink accumulating mr::RoundStats per pipeline phase
 //       (decompose / quotient / diameter), so a driver can report where the
-//       rounds and work of a whole CL-DIAM run went;
-//   (d) the shared execution knobs (exec/options.hpp) as the pipeline-wide
-//       default.
+//       rounds and work of a whole CL-DIAM run went.
 //
 // Every layer accepts a Context: sssp::delta_stepping and the sweep, the
 // GrowingEngine, core::cluster / cluster2 / build_quotient /
@@ -47,7 +45,6 @@
 #include <string_view>
 #include <vector>
 
-#include "exec/options.hpp"
 #include "graph/graph.hpp"
 #include "graph/split_csr.hpp"
 #include "mr/partition.hpp"
@@ -99,16 +96,9 @@ class Context {
   // Constructors and destructor are out of line: members hold
   // unique_ptr<GrowingEngine> over a forward declaration.
   Context();
-  explicit Context(const ExecOptions& opts);
   ~Context();
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
-
-  /// The pipeline-wide execution knobs. Kernel option structs inherit
-  /// ExecOptions and win when they disagree; drivers that take only a
-  /// context (the CLI sweeps) read their defaults from here.
-  [[nodiscard]] ExecOptions& options() noexcept { return opts_; }
-  [[nodiscard]] const ExecOptions& options() const noexcept { return opts_; }
 
   // --- (a) derived-layout caches -------------------------------------------
 
@@ -141,8 +131,8 @@ class Context {
   /// number of layouts adopted (0 when the file carries none).
   std::size_t adopt_presplits(const Graph& g, const io::MappedGraph& m);
 
-  /// True when split_for(g, delta) would hit the cache under the current
-  /// placement fingerprint. Pure lookup: does not touch LRU order.
+  /// True when split_for(g, delta) would hit the cache. Pure lookup: does
+  /// not touch LRU order.
   [[nodiscard]] bool has_split(const Graph& g, Weight delta) const;
 
   // --- (b) pooled per-run scratch ------------------------------------------
@@ -196,38 +186,28 @@ class Context {
   /// covers a run while bounding a context reused across many graphs.
   static constexpr std::size_t kMaxSplits = 32;
 
-  // Every entry also carries the placement fingerprint
-  // (mr::placement_fingerprint of the context's options at build time): a
-  // cached layout is first-touched for one (strategy, topology), and serving
-  // it after a --placement or GDIAM_TOPOLOGY change would silently keep the
-  // old page placement. 0 (placement off) reproduces the old keys exactly.
   struct SplitEntry {
     GraphKey key;
     Weight delta = 0.0;
-    std::uint64_t pfp = 0;
     std::unique_ptr<SplitCsr> split;
   };
   struct PartitionEntry {
     GraphKey key;
     mr::PartitionOptions opts;
-    std::uint64_t pfp = 0;
     std::unique_ptr<mr::Partition> partition;
   };
   struct ShardSplitEntry {
     const mr::Partition* partition = nullptr;  // stable: never evicted
     Weight delta = 0.0;
-    std::uint64_t pfp = 0;
     std::unique_ptr<std::vector<CsrSplit>> splits;
   };
   struct EngineEntry {
     GraphKey key;
     core::GrowingPolicy policy;
     mr::PartitionOptions popts;
-    std::uint64_t pfp = 0;
     std::unique_ptr<core::GrowingEngine> engine;
   };
 
-  ExecOptions opts_;
   std::vector<SplitEntry> splits_;            // MRU-first
   std::vector<PartitionEntry> partitions_;    // MRU-first
   std::vector<ShardSplitEntry> shard_splits_;  // MRU-first

@@ -1,13 +1,30 @@
 #include "gen/mesh.hpp"
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "graph/builder.hpp"
 
 namespace gdiam::gen {
 
+namespace {
+
+/// side², or std::invalid_argument when it does not fit a NodeId (the 32-bit
+/// product would wrap, e.g. side 2^16 to an empty graph).
+NodeId square_nodes(NodeId side, const char* what) {
+  const std::uint64_t n = std::uint64_t{side} * side;
+  if (n > std::numeric_limits<NodeId>::max()) {
+    throw std::invalid_argument(std::string(what) + ": side " +
+                                std::to_string(side) + " is too large");
+  }
+  return static_cast<NodeId>(n);
+}
+
+}  // namespace
+
 Graph mesh(NodeId side) {
-  const auto n = static_cast<NodeId>(side * side);
+  const NodeId n = square_nodes(side, "mesh");
   GraphBuilder b(n);
   for (NodeId r = 0; r < side; ++r) {
     for (NodeId c = 0; c < side; ++c) {
@@ -21,7 +38,7 @@ Graph mesh(NodeId side) {
 
 Graph torus(NodeId side) {
   if (side < 3) throw std::invalid_argument("torus: side must be >= 3");
-  const auto n = static_cast<NodeId>(side * side);
+  const NodeId n = square_nodes(side, "torus");
   GraphBuilder b(n);
   for (NodeId r = 0; r < side; ++r) {
     for (NodeId c = 0; c < side; ++c) {

@@ -1,6 +1,7 @@
 #include "gen/road.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "graph/builder.hpp"
@@ -13,7 +14,10 @@ Graph road_network(NodeId width, NodeId height, util::Xoshiro256& rng,
   if (width < 2 || height < 2) {
     throw std::invalid_argument("road_network: grid must be at least 2x2");
   }
-  const auto n = static_cast<NodeId>(width) * height;
+  if (std::uint64_t{width} * height > std::numeric_limits<NodeId>::max()) {
+    throw std::invalid_argument("road_network: grid is too large");
+  }
+  const NodeId n = width * height;
 
   // Jittered intersection coordinates.
   std::vector<double> xs(n), ys(n);

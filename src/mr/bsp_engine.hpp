@@ -77,18 +77,14 @@ class BspEngine {
 
   [[nodiscard]] Transport& transport() const noexcept { return *transport_; }
 
-  /// True when compute callbacks run in a worker process: their writes to
-  /// coordinator state are lost, so algorithms must stage owned-state
-  /// effects via Exchange::loopback and counters via `shard_counters`.
+  /// True when compute callbacks run in resident worker processes
+  /// (PoolTransport): their writes to coordinator state are lost, so
+  /// algorithms must stage owned-state effects via Exchange::loopback and
+  /// counters via `shard_counters`, pass a StepInputCodec to superstep() so
+  /// per-step inputs travel by wire, and bump its epoch when resident state
+  /// mutates.
   [[nodiscard]] bool remote_compute() const noexcept {
     return transport_->remote_compute();
-  }
-
-  /// True when workers stay resident across supersteps (PoolTransport):
-  /// algorithms should pass a StepInputCodec to superstep() so per-step
-  /// inputs travel by wire, and bump its epoch when resident state mutates.
-  [[nodiscard]] bool resident_compute() const noexcept {
-    return transport_->resident_workers();
   }
 
   /// Supersteps executed so far (each is one synchronous round).

@@ -57,8 +57,6 @@ struct ExchangeCounters {
   std::uint64_t bytes = 0;           // messages * sizeof(Msg)
   std::uint64_t cross_messages = 0;  // staged with source != destination
   std::uint64_t cross_bytes = 0;
-  std::uint64_t cross_node_messages = 0;  // cross shards on different NUMA
-  std::uint64_t cross_node_bytes = 0;     // nodes (set_node_map; else 0)
   std::uint64_t wire_messages = 0;   // records shipped between processes
   std::uint64_t wire_bytes = 0;      // bytes read back from workers
 
@@ -67,8 +65,6 @@ struct ExchangeCounters {
     bytes += o.bytes;
     cross_messages += o.cross_messages;
     cross_bytes += o.cross_bytes;
-    cross_node_messages += o.cross_node_messages;
-    cross_node_bytes += o.cross_node_bytes;
     wire_messages += o.wire_messages;
     wire_bytes += o.wire_bytes;
     return *this;
@@ -100,17 +96,7 @@ class Exchange {
     rows_.assign(k_, {});
     loop_.assign(k_, {});
     inbox_.assign(k_, {});
-    node_of_.clear();  // a stale map would misindex the new shard count
     sealed_ = false;
-  }
-
-  /// Installs the placement plan's shard→node map (mr/placement.hpp) so
-  /// seal() can classify cross-partition traffic that also crosses a NUMA
-  /// node. Empty (the default) disables the classification — the
-  /// cross_node_* counters stay 0, the pre-placement behavior. A non-empty
-  /// map must have one entry per shard.
-  void set_node_map(std::vector<std::uint32_t> node_of_shard) {
-    node_of_ = std::move(node_of_shard);
   }
 
   [[nodiscard]] std::uint32_t num_partitions() const noexcept { return k_; }
@@ -143,7 +129,6 @@ class Exchange {
       inbox_[to].reserve(counts[to]);
       inbox_[to].insert(inbox_[to].end(), loop_[to].begin(), loop_[to].end());
     }
-    const bool node_map = node_of_.size() == k_;
     for (ShardId from = 0; from < k_; ++from) {
       for (const Tagged& t : rows_[from]) {
         inbox_[t.to].push_back(t.msg);
@@ -152,12 +137,6 @@ class Exchange {
         if (from != t.to) {
           c.cross_messages++;
           c.cross_bytes += sizeof(Msg);
-          // The NUMA view of the same record: a cross-partition message
-          // whose endpoints the placement plan put on different nodes.
-          if (node_map && node_of_[from] != node_of_[t.to]) {
-            c.cross_node_messages++;
-            c.cross_node_bytes += sizeof(Msg);
-          }
         }
       }
     }
@@ -260,7 +239,6 @@ class Exchange {
   std::vector<std::vector<Tagged>> rows_;  // one staging row per source
   std::vector<std::vector<Msg>> loop_;     // remote owned-write stand-ins
   std::vector<std::vector<Msg>> inbox_;    // filled by seal()
-  std::vector<std::uint32_t> node_of_;     // placement map (empty = off)
   bool sealed_ = false;
 };
 

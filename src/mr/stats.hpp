@@ -36,16 +36,6 @@ struct RoundStats {
   std::uint64_t cross_messages = 0;
   /// Serialized payload bytes of those cross-partition messages.
   std::uint64_t cross_bytes = 0;
-  /// Cross-partition messages whose source and destination shard live on
-  /// *different NUMA nodes* under the active placement plan
-  /// (mr/placement.hpp), and their serialized payload bytes. Zero whenever
-  /// placement is off (the default) or the plan is single-node. Like the
-  /// wire counters these are placement-dependent observability by design —
-  /// they are a relabeling of the cross counters by the plan's shard→node
-  /// map, so for a *fixed* placement they are identical across transports,
-  /// but parity suites comparing across placements zero them first.
-  std::uint64_t cross_node_messages = 0;
-  std::uint64_t cross_node_bytes = 0;
   /// Records and bytes that genuinely crossed a *process* boundary — filled
   /// only when a remote transport (mr/transport.hpp, PoolTransport) ran
   /// the compute phases; always 0 under LocalTransport, where an exchange is
@@ -78,8 +68,6 @@ struct RoundStats {
     node_updates += other.node_updates;
     cross_messages += other.cross_messages;
     cross_bytes += other.cross_bytes;
-    cross_node_messages += other.cross_node_messages;
-    cross_node_bytes += other.cross_node_bytes;
     wire_messages += other.wire_messages;
     wire_bytes += other.wire_bytes;
     sparse_rounds += other.sparse_rounds;
@@ -96,12 +84,10 @@ struct RoundStats {
 };
 
 /// "rounds=74 messages=4.2e+08 updates=1.1e+07 work=4.3e+08
-///  cross=1.0e+06msg/1.6e+07B xnode=4.0e+05msg/6.4e+06B
-///  wire=2.0e+06msg/3.1e+07B modes=61S/13D" — for logs; the cross part
-/// appears only when a partitioned backend recorded traffic, the xnode part
-/// only when a NUMA placement plan classified it, the wire part only when a
-/// multi-process transport ran, the modes part only when the adaptive
-/// frontier engine classified rounds.
+///  cross=1.0e+06msg/1.6e+07B wire=2.0e+06msg/3.1e+07B modes=61S/13D" — for
+/// logs; the cross part appears only when a partitioned backend recorded
+/// traffic, the wire part only when a multi-process transport ran, the modes
+/// part only when the adaptive frontier engine classified rounds.
 [[nodiscard]] std::string to_string(const RoundStats& s);
 
 }  // namespace gdiam::mr

@@ -14,7 +14,6 @@
 
 #include "util/fault.hpp"
 #include "util/net.hpp"
-#include "util/topology.hpp"
 
 namespace gdiam::mr {
 
@@ -36,40 +35,21 @@ constexpr int kReapTimeoutMs = 5000;
 
 }  // namespace
 
-Launcher::Launcher(std::uint32_t num_shards, std::uint32_t processes,
-                   PlacementPlan plan)
-    : k_(std::max(1u, num_shards)),
-      p_(std::max(1u, processes)),
-      plan_(std::move(plan)) {
+Launcher::Launcher(std::uint32_t num_shards, std::uint32_t processes)
+    : k_(std::max(1u, num_shards)), p_(std::max(1u, processes)) {
   if (p_ > k_) p_ = k_;  // a worker with zero shards would be pure overhead
-  // A plan built for a different shard count can't describe these shards;
-  // degrade to inactive rather than misindex (defensive — callers build the
-  // plan from the same K they pass here).
-  if (plan_.active() && plan_.num_shards() != k_) plan_ = {};
-  order_.resize(k_);
-  std::iota(order_.begin(), order_.end(), 0u);
-  if (plan_.active()) {
-    // Placement order: (node, id). Grouping contiguously over this order is
-    // the "cheaper local path" routing — same-node shards pack into the same
-    // worker, so their traffic never crosses a node-bound process. Sorting
-    // by a pure function of the plan keeps the mapping deterministic.
-    std::sort(order_.begin(), order_.end(), [this](ShardId a, ShardId b) {
-      const std::uint32_t na = plan_.node_of(a), nb = plan_.node_of(b);
-      return na != nb ? na < nb : a < b;
-    });
-  }
+  ids_.resize(k_);
+  std::iota(ids_.begin(), ids_.end(), 0u);
   group_of_.assign(k_, 0);
   for (std::uint32_t p = 0; p < p_; ++p) {
     const auto [first, last] = group(p);
-    for (std::uint32_t i = first; i < last; ++i) group_of_[order_[i]] = p;
+    for (ShardId s = first; s < last; ++s) group_of_[s] = p;
   }
 }
 
 std::pair<ShardId, ShardId> Launcher::group(std::uint32_t p) const {
-  // Ceil-balanced contiguous ranges over placement order: the first
-  // (k mod p) groups are one position larger. Pure function of (K, P) —
-  // part of the determinism story. With an inactive plan, positions are
-  // shard ids (identity order), the historical contract.
+  // Ceil-balanced contiguous ranges: the first (k mod p) groups are one
+  // shard larger. Pure function of (K, P) — part of the determinism story.
   const std::uint32_t base = k_ / p_;
   const std::uint32_t extra = k_ % p_;
   const std::uint32_t first = p * base + std::min(p, extra);
@@ -79,61 +59,24 @@ std::pair<ShardId, ShardId> Launcher::group(std::uint32_t p) const {
 
 std::span<const ShardId> Launcher::shards_of(std::uint32_t p) const {
   const auto [first, last] = group(p);
-  return std::span<const ShardId>(order_).subspan(first, last - first);
+  return std::span<const ShardId>(ids_).subspan(first, last - first);
 }
 
 std::uint32_t Launcher::process_of(ShardId s) const { return group_of_[s]; }
 
-int Launcher::node_of_group(std::uint32_t p) const {
-  if (!plan_.active()) return -1;
-  const auto shards = shards_of(p);
-  if (shards.empty()) return -1;
-  const std::uint32_t node = plan_.node_of(shards.front());
-  for (const ShardId s : shards) {
-    if (plan_.node_of(s) != node) return -1;  // straddles nodes
-  }
-  return static_cast<int>(node);
-}
-
-std::vector<int> Launcher::cpus_of_group(std::uint32_t p) const {
-  std::vector<int> cpus;
-  if (!plan_.active()) return cpus;
-  for (const ShardId s : shards_of(p)) {
-    const auto& node_cpus = plan_.cpus_of_node(plan_.node_of(s));
-    cpus.insert(cpus.end(), node_cpus.begin(), node_cpus.end());
-  }
-  std::sort(cpus.begin(), cpus.end());
-  cpus.erase(std::unique(cpus.begin(), cpus.end()), cpus.end());
-  return cpus;
-}
-
 std::unique_ptr<Transport> Launcher::make_transport(
-    const TransportOptions& opts, std::uint32_t num_shards,
-    PlacementPlan plan) {
+    const TransportOptions& opts, std::uint32_t num_shards) {
   if (opts.kind == TransportKind::kPool) {
     return std::make_unique<PoolTransport>(
-        Launcher(num_shards, opts.processes, std::move(plan)));
+        Launcher(num_shards, opts.processes));
   }
-  return std::make_unique<LocalTransport>(std::move(plan));
+  return std::make_unique<LocalTransport>();
 }
 
 TransportStats LocalTransport::run_compute(const SuperstepPlan& plan) {
   const auto k = static_cast<std::int64_t>(plan.num_shards);
-  const bool pin = plan_.active() && plan_.num_shards() == plan.num_shards;
 #pragma omp parallel for schedule(dynamic, 1)
-  for (std::int64_t s = 0; s < k; ++s) {
-    const auto shard = static_cast<ShardId>(s);
-    if (pin) {
-      // Pin this shard's compute to its node for the callback's duration;
-      // the mask is restored so the OpenMP team stays unperturbed for
-      // whatever runs next. Best-effort: a failed bind costs locality only.
-      util::topo::ScopedAffinity bind(
-          plan_.cpus_of_node(plan_.node_of(shard)));
-      plan.compute(shard);
-    } else {
-      plan.compute(shard);
-    }
-  }
+  for (std::int64_t s = 0; s < k; ++s) plan.compute(static_cast<ShardId>(s));
   return {};  // nothing crossed a process boundary
 }
 
@@ -149,10 +92,6 @@ PoolTransport::~PoolTransport() { shutdown(); }
 
 pid_t PoolTransport::worker_pid(std::uint32_t p) const noexcept {
   return p < workers_.size() ? workers_[p].pid : -1;
-}
-
-int PoolTransport::worker_node(std::uint32_t p) const noexcept {
-  return p < workers_.size() ? workers_[p].node : -1;
 }
 
 void PoolTransport::stop_worker(Worker& w) noexcept {
@@ -194,15 +133,10 @@ void PoolTransport::spawn_worker(std::uint32_t p, const SuperstepPlan& plan) {
     for (const Worker& w : workers_) {
       if (w.fd >= 0) ::close(w.fd);
     }
-    // Node-bind before any compute (best-effort; no-op without a plan).
-    // Crash respawns re-enter here with the same launcher, so a replacement
-    // worker lands on the dead worker's node — the pool's placement is a
-    // pure function of (p, plan), not of the crash history.
-    util::topo::bind_current_thread(launcher_.cpus_of_group(p));
     worker_main(p, fds[1], plan);  // never returns
   }
   ::close(fds[1]);
-  workers_[p] = Worker{pid, fds[0], launcher_.node_of_group(p)};
+  workers_[p] = Worker{pid, fds[0]};
   ++spawns_;
 }
 

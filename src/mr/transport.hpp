@@ -73,7 +73,6 @@
 #include <vector>
 
 #include "mr/partition.hpp"
-#include "mr/placement.hpp"
 
 namespace gdiam::mr {
 
@@ -112,29 +111,17 @@ struct TransportStats {
 };
 
 /// Maps K shards onto P worker processes: ceil-balanced groups (the first
-/// K mod P groups take one extra shard), contiguous *in placement order*.
-/// Without an active placement plan that order is the shard-id order — the
-/// pre-placement behavior verbatim, where contiguity keeps a range
-/// partition's locality within one worker. With a plan, shards are ordered
-/// by (NUMA node, shard id) before grouping, so worker boundaries align
-/// with node boundaries whenever the counts allow: same-node shard pairs
-/// share one node-bound worker (the cheap local path) and only the
-/// unavoidable remainder of a group straddles nodes. Determinism needs only
-/// that the mapping is a pure function of (K, P, plan) — which it is, the
-/// plan itself being a pure function of (topology, K, strategy).
+/// K mod P groups take one extra shard), contiguous in shard-id order, so a
+/// range partition's locality stays within one worker. Determinism needs
+/// only that the mapping is a pure function of (K, P) — which it is.
 class Launcher {
  public:
-  Launcher(std::uint32_t num_shards, std::uint32_t processes,
-           PlacementPlan plan = {});
+  Launcher(std::uint32_t num_shards, std::uint32_t processes);
 
   [[nodiscard]] std::uint32_t num_shards() const noexcept { return k_; }
   [[nodiscard]] std::uint32_t processes() const noexcept { return p_; }
-  [[nodiscard]] const PlacementPlan& plan() const noexcept { return plan_; }
 
-  /// *Position* range [first, second) owned by worker `p` in placement
-  /// order. Without an active plan, positions coincide with shard ids (the
-  /// historical contract); with one, use shards_of() — the range indexes the
-  /// reordered shard list, not shard ids.
+  /// Shard-id range [first, second) owned by worker `p`.
   [[nodiscard]] std::pair<ShardId, ShardId> group(std::uint32_t p) const;
 
   /// The shards worker `p` owns, in the deterministic order both sides of a
@@ -144,26 +131,14 @@ class Launcher {
   /// The worker that runs shard `s`'s compute.
   [[nodiscard]] std::uint32_t process_of(ShardId s) const;
 
-  /// The NUMA node every shard of group `p` lives on, or -1 when the plan is
-  /// inactive or the group straddles nodes (then cpus_of_group is the union
-  /// and no single node describes the worker).
-  [[nodiscard]] int node_of_group(std::uint32_t p) const;
-
-  /// CPUs worker `p` should bind to: the union of its shards' nodes' CPU
-  /// lists. Empty when the plan is inactive (bind nothing).
-  [[nodiscard]] std::vector<int> cpus_of_group(std::uint32_t p) const;
-
-  /// Builds the transport `opts` selects for a K-shard engine running under
-  /// `plan` (default: inactive — no binding, no reordering).
+  /// Builds the transport `opts` selects for a K-shard engine.
   [[nodiscard]] static std::unique_ptr<class Transport> make_transport(
-      const TransportOptions& opts, std::uint32_t num_shards,
-      PlacementPlan plan = {});
+      const TransportOptions& opts, std::uint32_t num_shards);
 
  private:
   std::uint32_t k_ = 1;
   std::uint32_t p_ = 1;
-  PlacementPlan plan_;
-  std::vector<ShardId> order_;      // shards sorted by (node, id)
+  std::vector<ShardId> ids_;             // 0..K-1, backing shards_of()
   std::vector<std::uint32_t> group_of_;  // shard id -> owning worker
 };
 
@@ -215,18 +190,13 @@ class Transport {
 
   virtual ~Transport() = default;
 
-  /// True when compute callbacks run in another address space, so their
-  /// writes to coordinator state are lost: algorithms must route owned-state
-  /// effects through Exchange::loopback and counters through shard_counters.
+  /// True when compute callbacks run in resident workers in another address
+  /// space (PoolTransport), so their writes to coordinator state are lost:
+  /// algorithms must route owned-state effects through Exchange::loopback
+  /// and counters through shard_counters, supply the plan's input codec so
+  /// per-superstep state is shipped instead of re-snapshotted, and bump
+  /// resident_epoch whenever fork-time-resident state mutates.
   [[nodiscard]] virtual bool remote_compute() const noexcept = 0;
-
-  /// True when workers stay resident across supersteps (PoolTransport):
-  /// algorithms should supply the plan's input codec so per-superstep state
-  /// is shipped instead of re-snapshotted, and bump resident_epoch whenever
-  /// fork-time-resident state mutates.
-  [[nodiscard]] virtual bool resident_workers() const noexcept {
-    return false;
-  }
 
   /// Worker processes compute fans out over (1 for LocalTransport).
   [[nodiscard]] virtual std::uint32_t processes() const noexcept = 0;
@@ -237,23 +207,12 @@ class Transport {
 };
 
 /// In-process transport: one OpenMP thread per shard writes the single-writer
-/// staging rows directly — PR 1's lock-free phase 1, verbatim. Under an
-/// active placement plan each shard's compute thread temporarily binds to
-/// its shard's NUMA node for the duration of the callback (ScopedAffinity),
-/// so the OS schedules it next to the memory the shard first-touched.
-/// Binding is best-effort and never changes what compute stages — results
-/// stay bit-identical across placements.
+/// staging rows directly — PR 1's lock-free phase 1, verbatim.
 class LocalTransport final : public Transport {
  public:
-  explicit LocalTransport(PlacementPlan plan = {}) : plan_(std::move(plan)) {}
-
   [[nodiscard]] bool remote_compute() const noexcept override { return false; }
   [[nodiscard]] std::uint32_t processes() const noexcept override { return 1; }
-  [[nodiscard]] const PlacementPlan& plan() const noexcept { return plan_; }
   TransportStats run_compute(const SuperstepPlan& plan) override;
-
- private:
-  PlacementPlan plan_;
 };
 
 /// Resident-worker transport: one long-lived worker per Launcher group,
@@ -283,9 +242,6 @@ class PoolTransport final : public Transport {
   PoolTransport& operator=(const PoolTransport&) = delete;
 
   [[nodiscard]] bool remote_compute() const noexcept override { return true; }
-  [[nodiscard]] bool resident_workers() const noexcept override {
-    return true;
-  }
   [[nodiscard]] std::uint32_t processes() const noexcept override {
     return launcher_.processes();
   }
@@ -306,18 +262,10 @@ class PoolTransport final : public Transport {
   /// injection hooks for the restart tests.
   [[nodiscard]] pid_t worker_pid(std::uint32_t p) const noexcept;
 
-  /// NUMA node group `p`'s resident worker was bound to at its most recent
-  /// spawn (-1 when unbound: inactive plan, mixed-node group, or not yet
-  /// spawned). A crash respawn re-derives the binding from the launcher, so
-  /// a replacement worker lands on the dead worker's node — the chaos tests
-  /// assert exactly this.
-  [[nodiscard]] int worker_node(std::uint32_t p) const noexcept;
-
  private:
   struct Worker {
     pid_t pid = -1;
-    int fd = -1;   // coordinator end of the persistent socketpair
-    int node = -1;  // NUMA node bound at spawn (-1 = unbound)
+    int fd = -1;  // coordinator end of the persistent socketpair
   };
 
   void spawn_worker(std::uint32_t p, const SuperstepPlan& plan);

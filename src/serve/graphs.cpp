@@ -1,6 +1,7 @@
 #include "serve/graphs.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -27,17 +28,25 @@ struct GenSpec {
     const auto it = params.find(key);
     return it != params.end() ? it->second : fallback;
   }
-  [[nodiscard]] std::uint64_t num(const std::string& key,
-                                  std::uint64_t fallback) const {
+  /// The unsigned value of `key` as a T. Rejects a sign (std::stoull would
+  /// wrap "-1" to 2^64 - 1), trailing junk, and values T cannot hold.
+  template <typename T>
+  [[nodiscard]] T num(const std::string& key, T fallback) const {
     const auto it = params.find(key);
     if (it == params.end()) return fallback;
+    const std::string& s = it->second;
     std::size_t used = 0;
-    const unsigned long long v = std::stoull(it->second, &used);
-    if (used != it->second.size()) {
-      throw std::invalid_argument("graph spec: bad number for '" + key +
-                                  "': " + it->second);
+    unsigned long long v = 0;
+    try {
+      if (!s.empty() && s[0] >= '0' && s[0] <= '9') v = std::stoull(s, &used);
+    } catch (const std::out_of_range&) {
+      used = 0;
     }
-    return v;
+    if (used == 0 || used != s.size() || v > std::numeric_limits<T>::max()) {
+      throw std::invalid_argument("graph spec: bad number for '" + key +
+                                  "': " + s);
+    }
+    return static_cast<T>(v);
   }
 };
 
@@ -85,25 +94,25 @@ Graph make_graph(const std::string& spec) {
   if (!spec.starts_with("gen:")) return load_file(spec);
 
   const GenSpec gs = parse_gen(spec);
-  const std::uint64_t seed = gs.num("seed", 1);
+  const auto seed = gs.num<std::uint64_t>("seed", 1);
   util::Xoshiro256 rng(seed);
   Graph g;
   if (gs.family == "mesh") {
-    g = gen::mesh(static_cast<NodeId>(gs.num("side", 256)));
+    g = gen::mesh(gs.num<NodeId>("side", 256));
   } else if (gs.family == "torus") {
-    g = gen::torus(static_cast<NodeId>(gs.num("side", 256)));
+    g = gen::torus(gs.num<NodeId>("side", 256));
   } else if (gs.family == "rmat") {
-    g = gen::rmat(static_cast<unsigned>(gs.num("scale", 16)),
-                  static_cast<EdgeIndex>(gs.num("edge-factor", 16)), rng);
+    g = gen::rmat(gs.num<unsigned>("scale", 16),
+                  gs.num<EdgeIndex>("edge-factor", 16), rng);
   } else if (gs.family == "road") {
-    const auto side = static_cast<NodeId>(gs.num("side", 256));
+    const auto side = gs.num<NodeId>("side", 256);
     g = gen::road_network(side, side, rng);
   } else if (gs.family == "gnm") {
-    g = gen::gnm(static_cast<NodeId>(gs.num("nodes", 10000)),
-                 static_cast<EdgeIndex>(gs.num("edges", 30000)), rng,
+    g = gen::gnm(gs.num<NodeId>("nodes", 10000),
+                 gs.num<EdgeIndex>("edges", 30000), rng,
                  /*ensure_connected=*/true);
   } else if (gs.family == "path") {
-    g = gen::path(static_cast<NodeId>(gs.num("nodes", 10000)));
+    g = gen::path(gs.num<NodeId>("nodes", 10000));
   } else {
     throw std::invalid_argument("graph spec: unknown family '" + gs.family +
                                 "'");

@@ -146,13 +146,8 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
   std::unique_ptr<mr::BspEngine> bsp;
   if (opts.partition.num_partitions > 1 && n > 0) {
     part = &C.partition_for(g, opts.partition);
-    // NUMA placement (mr/placement.hpp): a pure function of (topology, K,
-    // strategy) — inactive under the default kNone. The transport binds
-    // compute by it; the exchange classifies cross-node traffic by it.
-    mr::PlacementPlan plan =
-        mr::resolve_placement(opts.placement, part->num_partitions());
-    transport = mr::Launcher::make_transport(
-        opts.transport, part->num_partitions(), plan);
+    transport =
+        mr::Launcher::make_transport(opts.transport, part->num_partitions());
     bsp = std::make_unique<mr::BspEngine>(*part, transport.get());
     const std::uint32_t k = part->num_partitions();
     if (rb.exchange.num_partitions() != k) {
@@ -161,7 +156,6 @@ DeltaSteppingResult delta_stepping(const Graph& g, NodeId source,
     } else {
       rb.exchange.clear();
     }
-    rb.exchange.set_node_map(plan.node_of_shard());
     rb.shard_messages.assign(k, 0);
     rb.shard_updates.assign(k, 0);
     out.partitions_used = k;

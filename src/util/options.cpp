@@ -6,6 +6,24 @@
 
 namespace gdiam::util {
 
+namespace {
+
+/// Parses all of `value` with `parse` (std::stoll / std::stod style), so a
+/// trailing "x" or "junk" is an error rather than silently dropped.
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& value,
+                 Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto parsed = parse(value, &used);
+    if (used == value.size()) return parsed;
+  } catch (const std::logic_error&) {  // invalid_argument or out_of_range
+  }
+  throw OptionError("bad value for --" + name + ": '" + value + "'");
+}
+
+}  // namespace
+
 Options::Options(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -14,7 +32,7 @@ Options::Options(int argc, const char* const* argv) {
       continue;
     }
     arg.erase(0, 2);
-    if (arg.empty()) throw std::invalid_argument("bare '--' flag");
+    if (arg.empty()) throw OptionError("bare '--' flag");
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
       flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
@@ -40,7 +58,10 @@ std::int64_t Options::get_int(const std::string& name,
                               std::int64_t fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end() || it->second.empty()) return fallback;
-  return std::stoll(it->second);
+  return parse_whole(name, it->second,
+                     [](const std::string& v, std::size_t* used) {
+                       return std::stoll(v, used);
+                     });
 }
 
 std::uint32_t Options::get_uint32(const std::string& name,
@@ -48,7 +69,7 @@ std::uint32_t Options::get_uint32(const std::string& name,
   const std::int64_t v = get_int(name, static_cast<std::int64_t>(fallback));
   if (v < 0 || v > static_cast<std::int64_t>(
                       std::numeric_limits<std::uint32_t>::max())) {
-    throw std::invalid_argument("flag --" + name + " out of range");
+    throw OptionError("flag --" + name + " out of range");
   }
   return static_cast<std::uint32_t>(v);
 }
@@ -56,7 +77,10 @@ std::uint32_t Options::get_uint32(const std::string& name,
 double Options::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end() || it->second.empty()) return fallback;
-  return std::stod(it->second);
+  return parse_whole(name, it->second,
+                     [](const std::string& v, std::size_t* used) {
+                       return std::stod(v, used);
+                     });
 }
 
 bool Options::get_bool(const std::string& name, bool fallback) const {
@@ -66,7 +90,7 @@ bool Options::get_bool(const std::string& name, bool fallback) const {
     return true;
   }
   if (it->second == "false" || it->second == "0") return false;
-  throw std::invalid_argument("boolean flag --" + name + "=" + it->second);
+  throw OptionError("boolean flag --" + name + "=" + it->second);
 }
 
 std::optional<std::string> Options::first_unknown(

@@ -9,17 +9,26 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace gdiam::util {
 
+/// A malformed flag or flag value. Derives from std::invalid_argument so
+/// generic handlers still catch it; a CLI catches it by type to report a
+/// usage error rather than a runtime failure.
+class OptionError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 class Options {
  public:
   Options() = default;
 
-  /// Parses argv; throws std::invalid_argument on malformed flags.
+  /// Parses argv; throws OptionError on malformed flags.
   Options(int argc, const char* const* argv);
 
   /// True when the flag was present (with or without a value).
@@ -27,11 +36,13 @@ class Options {
 
   [[nodiscard]] std::string get_string(const std::string& name,
                                        std::string fallback) const;
+  /// The numeric getters parse the whole value: "4x", "0.5junk", "abc" or an
+  /// out-of-range number throw OptionError naming the flag.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   /// get_int narrowed to u32 with a range check — for count-like flags such
-  /// as --partitions; throws std::invalid_argument on negative or oversized
-  /// values instead of silently truncating.
+  /// as --partitions; throws OptionError on negative or oversized values
+  /// instead of silently truncating.
   [[nodiscard]] std::uint32_t get_uint32(const std::string& name,
                                          std::uint32_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name,

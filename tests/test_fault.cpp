@@ -358,12 +358,10 @@ TEST(TransportChaos, WorkerSelfKillMidSuperstepReplaysBitIdentical) {
   EXPECT_EQ(run.updates, ref.updates);
 }
 
-TEST(TransportChaos, RespawnedWorkerKeepsNodeBinding) {
-  // NUMA placement under crash replay (DESIGN.md §13): a replacement worker
-  // must land on the dead worker's node — the binding is a pure function of
-  // (group, plan), never of the crash history. Emulated 2-node machine; RR
-  // over K=4, P=2 gives group 0 = node 0 {0,2}, group 1 = node 1 {1,3}.
-  ASSERT_EQ(::setenv("GDIAM_TOPOLOGY", "0;1", 1), 0);
+TEST(TransportChaos, KillInSecondSuperstepReplaysBitIdentical) {
+  // A crash after the initial spawn wave was snapshotted: the new worker is
+  // forked from the coordinator's state at the second superstep and replays
+  // that step bit-identically. K=4 shards on P=2 workers.
   const Graph g = test::make_family(Family::kGnmUniform, 200, 13);
   const GrowthRun ref = run_growth(g, {});
 
@@ -373,7 +371,6 @@ TEST(TransportChaos, RespawnedWorkerKeepsNodeBinding) {
                                        .uniform_budget = 2.0 * g.avg_weight()};
   core::GrowingEngine eng(g, core::GrowingPolicy::kPartitioned, popts);
   eng.set_transport_options({.kind = mr::TransportKind::kPool, .processes = 2});
-  eng.set_placement_options({.strategy = mr::PlacementStrategy::kRoundRobin});
   eng.set_source(0, 0);
   eng.set_source(g.num_nodes() / 2, g.num_nodes() / 2);
   eng.rebuild_frontier(params);
@@ -385,13 +382,11 @@ TEST(TransportChaos, RespawnedWorkerKeepsNodeBinding) {
   auto* pool = dynamic_cast<mr::PoolTransport*>(eng.transport());
   ASSERT_NE(pool, nullptr);
   GrowthRun run;
-  std::vector<int> nodes_at_first_spawn;
   std::vector<pid_t> pids_at_first_spawn;
   for (int step = 0; step < 64; ++step) {
     const auto r = eng.step(params);
     if (step == 0) {
       for (std::uint32_t p = 0; p < 2; ++p) {
-        nodes_at_first_spawn.push_back(pool->worker_node(p));
         pids_at_first_spawn.push_back(pool->worker_pid(p));
       }
     }
@@ -399,19 +394,13 @@ TEST(TransportChaos, RespawnedWorkerKeepsNodeBinding) {
     if (r.updates == 0) break;
   }
   run.labels = eng.labels();
-  ::unsetenv("GDIAM_TOPOLOGY");
 
-  // The kill fired and was replayed...
+  // The kill fired and was replayed by a fresh worker.
   ASSERT_GE(pool->restarts(), 1u);
   EXPECT_EQ(run.labels, ref.labels);
   EXPECT_EQ(run.updates, ref.updates);
-  // ...and the initial placement was real and survived the respawn: the
-  // replacement worker (a different pid for at least one group) reports the
-  // same node binding the dead worker had.
-  EXPECT_EQ(nodes_at_first_spawn, (std::vector<int>{0, 1}));
   bool some_pid_changed = false;
   for (std::uint32_t p = 0; p < 2; ++p) {
-    EXPECT_EQ(pool->worker_node(p), nodes_at_first_spawn[p]) << "group " << p;
     some_pid_changed |= pool->worker_pid(p) != pids_at_first_spawn[p];
   }
   EXPECT_TRUE(some_pid_changed);

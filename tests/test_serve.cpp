@@ -146,6 +146,12 @@ TEST(GraphSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(make_graph("gen:mesh:side=8:weights=imaginary"),
                std::invalid_argument);
   EXPECT_THROW(make_graph("gen:mesh:side=8x"), std::invalid_argument);
+  // Out-of-range numbers: a sign, a value past NodeId, and side² past
+  // NodeId are typed errors, not a wrapped count or an empty graph.
+  EXPECT_THROW(make_graph("gen:mesh:side=4294967296"), std::invalid_argument);
+  EXPECT_THROW(make_graph("gen:mesh:side=-1"), std::invalid_argument);
+  EXPECT_THROW(make_graph("gen:path:nodes=-3"), std::invalid_argument);
+  EXPECT_THROW(make_graph("gen:mesh:side=70000"), std::invalid_argument);
 }
 
 TEST(GraphStore, LoadsOncePerSpecAndSnapshotsInLoadOrder) {

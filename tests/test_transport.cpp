@@ -67,7 +67,12 @@ TEST(Launcher, GroupsAreContiguousBalancedAndCoverEveryShard) {
         const auto [first, last] = l.group(g);
         EXPECT_EQ(first, next) << "k=" << k << " p=" << p;  // contiguous
         EXPECT_LT(first, last);  // every worker owns at least one shard
+        // Group positions are shard ids: shards_of lists exactly
+        // [first, last) in ascending order.
+        const auto shards = l.shards_of(g);
+        ASSERT_EQ(shards.size(), last - first);
         for (ShardId s = first; s < last; ++s) {
+          EXPECT_EQ(shards[s - first], s);
           EXPECT_EQ(l.process_of(s), g);
         }
         largest = std::max(largest, last - first);
@@ -92,7 +97,6 @@ TEST(Launcher, MakeTransportSelectsKind) {
   EXPECT_EQ(local->processes(), 1u);
   const auto pool = Launcher::make_transport(pool_opts(2), 4);
   EXPECT_TRUE(pool->remote_compute());
-  EXPECT_TRUE(pool->resident_workers());
   EXPECT_EQ(pool->processes(), 2u);
 }
 

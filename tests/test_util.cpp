@@ -9,6 +9,7 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "util/bitpack.hpp"
@@ -275,6 +276,25 @@ TEST(Options, MalformedBoolThrows) {
   const char* argv[] = {"prog", "--flag=maybe"};
   Options o(2, argv);
   EXPECT_THROW((void)o.get_bool("flag", false), std::invalid_argument);
+}
+
+TEST(Options, NumericValuesMustParseWhole) {
+  const char* argv[] = {"prog", "--tau", "4x", "--delta=0.5junk", "--k=abc",
+                        "--big=99999999999999999999", "--ok=7"};
+  Options o(7, argv);
+  EXPECT_THROW((void)o.get_int("tau", 0), std::invalid_argument);
+  EXPECT_THROW((void)o.get_double("delta", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)o.get_int("k", 0), std::invalid_argument);
+  EXPECT_THROW((void)o.get_uint32("k", 0), std::invalid_argument);
+  EXPECT_THROW((void)o.get_int("big", 0), std::invalid_argument);
+  EXPECT_EQ(o.get_int("ok", 0), 7);
+  std::string what;
+  try {
+    (void)o.get_int("tau", 0);
+  } catch (const OptionError& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("--tau"), std::string::npos) << what;
 }
 
 TEST(Options, SetInjectsFlag) {

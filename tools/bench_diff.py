@@ -11,11 +11,7 @@ run. This tool diffs a candidate file against a baseline:
     mixes, thread counts, ...), EXCEPT fields whose name contains
     "_speedup": those are tracked A/B ratios (split-vs-branch, context
     reuse, ...) where higher is better, and a drop
-    beyond --tolerance is flagged like a row regression. The
-    numa_placement_speedup_* family is the exception: pinned-vs-unpinned
-    hovers around 1.0 on the single-node CI machines by construction
-    (DESIGN.md §13), so a drop there prints a WARN line (and a workflow
-    annotation) but never affects the exit code;
+    beyond --tolerance is flagged like a row regression;
   * any regression beyond --tolerance is flagged; the exit code is 1
     unless --warn-only is given (CI uses --warn-only so perf drift warns
     without failing the build).
@@ -66,11 +62,6 @@ def load(path):
             "(one per benchmark run)"
         )
     return doc
-
-
-# _speedup fields matching this prefix are advisory: only meaningful on
-# multi-socket hardware, noise around 1.0 on the single-node CI fleet.
-NUMA_ADVISORY_PREFIX = "numa_placement_speedup"
 
 
 def numeric_fields(doc):
@@ -175,17 +166,9 @@ def main():
             # Speedup ratios are higher-is-better A/Bs: a drop beyond
             # tolerance means the optimized path lost ground against its
             # baseline even if both kernels' absolute times moved together.
-            # NUMA placement ratios warn without gating (see module docstring).
             if "_speedup" in key and delta < -args.tolerance:
-                if key.startswith(NUMA_ADVISORY_PREFIX):
-                    flag = "  << WARN (advisory, not gated)"
-                    github_warning(
-                        f"numa placement ratio dropped {key}: "
-                        f"{b:.4g} -> {c:.4g} ({delta:+.1%})"
-                    )
-                else:
-                    flag = "  << REGRESSION"
-                    regressions.append((key, float(b), float(c), delta))
+                flag = "  << REGRESSION"
+                regressions.append((key, float(b), float(c), delta))
             print(
                 f"  {key:<{name_w}}  {b:12.4g} -> {c:12.4g}  {delta:+8.1%}{flag}"
             )

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,17 +44,16 @@ commands:
   stats    FILE [--sweeps K]
   estimate FILE [--tau T] [--seed S] [--cluster2] [--classic] [--pull]
            [--partitions K] [--range-partition] [--transport local|pool]
-           [--processes P] [--placement none|round-robin|capacity]
-           [--repeat N] [--reuse-context | --no-reuse-context]
+           [--processes P] [--repeat N] [--reuse-context | --no-reuse-context]
   decompose FILE --out CLUSTERING.gdcl [--tau T] [--seed S]
             [--quotient QUOTIENT_GRAPH_FILE]
   sssp     FILE [--source U] [--delta D]
            [--partitions K] [--range-partition] [--transport local|pool]
-           [--processes P] [--placement none|round-robin|capacity]
-           [--repeat N] [--reuse-context | --no-reuse-context]
+           [--processes P] [--repeat N] [--reuse-context | --no-reuse-context]
   convert  IN OUT
 
-Every command rejects flags it does not know with this usage error.
+Every command rejects flags it does not know, and numeric flag values it
+cannot parse whole (--tau 4x), with this usage error.
 
 sssp runs Delta-stepping (Meyer-Sanders buckets of width --delta; 0, the
 default, picks the average edge weight).
@@ -68,13 +68,6 @@ inputs over persistent Unix-domain sockets) — the serving configuration
 gdiamd runs hot graphs on. Results are bit-identical to the in-process
 transport, and the cost line gains the genuinely-crossed wire=.../...
 traffic. Requires --partitions K > 1.
-
---placement maps the K shards onto the machine's NUMA nodes (round-robin or
-capacity-balanced; DESIGN.md section 13): shard compute is pinned to its
-node, shard layouts are first-touched there, and the cost line gains the
-xnode=.../... cross-node traffic. The GDIAM_TOPOLOGY env var overrides the
-detected topology (e.g. "0-3;4-7"). Distances and model counters are
-bit-identical across placements; requires --partitions K > 1.
 
 --repeat N runs the estimate / sssp kernel N times and prints per-run wall
 times. By default every repetition shares one exec::Context (pooled engines
@@ -152,8 +145,8 @@ mr::TransportOptions parse_transport(const util::Options& o,
 
 /// The execution flags estimate and sssp share.
 constexpr std::string_view kExecFlags[] = {
-    "partitions", "range-partition", "transport",     "processes",
-    "placement",  "repeat",          "reuse-context", "no-reuse-context"};
+    "partitions", "range-partition", "transport",        "processes",
+    "repeat",     "reuse-context",   "no-reuse-context"};
 
 /// Exits with the usage error when `o` carries a flag outside `known` (plus
 /// kExecFlags when `exec_flags`): a retired or misspelled flag must not
@@ -168,19 +161,17 @@ void require_known(const util::Options& o, std::vector<std::string_view> known,
   }
 }
 
-/// Shared --placement parsing (estimate and sssp). Placement only exists
-/// behind the BSP engine, so a non-none strategy requires --partitions K > 1.
-mr::PlacementOptions parse_placement(const util::Options& o,
-                                     const mr::PartitionOptions& p) {
-  mr::PlacementOptions pl;
-  const std::string name = o.get_string("placement", "none");
-  const auto strategy = mr::parse_placement_strategy(name);
-  if (!strategy) usage("--placement must be none, round-robin or capacity");
-  pl.strategy = *strategy;
-  if (pl.strategy != mr::PlacementStrategy::kNone && p.num_partitions <= 1) {
-    usage("--placement requires --partitions K > 1");
-  }
-  return pl;
+/// --tau, parsed before the graph loads so a malformed value fails fast;
+/// absent (or bare), the caller falls back to default_tau once it has the
+/// graph.
+std::optional<std::uint32_t> parse_tau(const util::Options& o) {
+  if (o.get_string("tau", "").empty()) return std::nullopt;
+  return o.get_uint32("tau", 0);
+}
+
+/// The τ whose CLUSTER run targets about n/4 clusters.
+std::uint32_t default_tau(const Graph& g) {
+  return core::tau_for_cluster_target(g.num_nodes(), g.num_nodes() / 4);
 }
 
 /// Shared --repeat / --reuse-context / --no-reuse-context parsing.
@@ -238,21 +229,21 @@ int cmd_generate(const util::Options& o) {
 
   Graph g;
   if (family == "mesh") {
-    g = gen::mesh(static_cast<NodeId>(o.get_int("side", 256)));
+    g = gen::mesh(o.get_uint32("side", 256));
   } else if (family == "torus") {
-    g = gen::torus(static_cast<NodeId>(o.get_int("side", 256)));
+    g = gen::torus(o.get_uint32("side", 256));
   } else if (family == "rmat") {
-    g = gen::rmat(static_cast<unsigned>(o.get_int("scale", 16)),
+    g = gen::rmat(o.get_uint32("scale", 16),
                   static_cast<EdgeIndex>(o.get_int("edge-factor", 16)), rng);
   } else if (family == "road") {
-    const auto side = static_cast<NodeId>(o.get_int("side", 256));
+    const NodeId side = o.get_uint32("side", 256);
     g = gen::road_network(side, side, rng);
   } else if (family == "gnm") {
-    g = gen::gnm(static_cast<NodeId>(o.get_int("nodes", 10000)),
+    g = gen::gnm(o.get_uint32("nodes", 10000),
                  static_cast<EdgeIndex>(o.get_int("edges", 30000)), rng,
                  /*ensure_connected=*/true);
   } else if (family == "path") {
-    g = gen::path(static_cast<NodeId>(o.get_int("nodes", 10000)));
+    g = gen::path(o.get_uint32("nodes", 10000));
   } else {
     usage("unknown --family");
   }
@@ -267,6 +258,7 @@ int cmd_generate(const util::Options& o) {
 int cmd_stats(const util::Options& o) {
   require_known(o, {"sweeps"});
   if (o.positional().size() < 2) usage("stats requires a graph file");
+  const auto sweeps = static_cast<unsigned>(o.get_uint32("sweeps", 4));
   const Graph g = load(o.positional()[1]);
   const Components cc = connected_components(g);
   const DegreeStats deg = degree_stats(g);
@@ -280,7 +272,6 @@ int cmd_stats(const util::Options& o) {
               static_cast<unsigned long long>(deg.max));
   std::printf("weights:     min %g, avg %g, max %g\n", g.min_weight(),
               g.avg_weight(), g.max_weight());
-  const auto sweeps = static_cast<unsigned>(o.get_int("sweeps", 4));
   const Graph giant = cc.count > 1 ? largest_component(g).graph : g;
   std::printf("diameter:    >= %.6g (weighted, %u sweeps, giant component)\n",
               sssp::diameter_lower_bound(giant, sweeps, 1).lower_bound,
@@ -309,11 +300,10 @@ int cmd_estimate(const util::Options& o) {
     opt.cluster.policy = core::GrowingPolicy::kPartitioned;
   }
   opt.cluster.transport = parse_transport(o, opt.cluster.partition);
-  opt.cluster.placement = parse_placement(o, opt.cluster.partition);
   const RepeatOptions rep = parse_repeat(o);
+  const std::optional<std::uint32_t> tau = parse_tau(o);
   const Graph g = load(o.positional()[1]);
-  opt.cluster.tau = static_cast<std::uint32_t>(o.get_int(
-      "tau", core::tau_for_cluster_target(g.num_nodes(), g.num_nodes() / 4)));
+  opt.cluster.tau = tau.value_or(default_tau(g));
 
   // One context for every repetition (the default), or a fresh one per run
   // (--no-reuse-context): the reproducible command-line version of the
@@ -348,11 +338,11 @@ int cmd_decompose(const util::Options& o) {
   if (o.positional().size() < 2) usage("decompose requires a graph file");
   const std::string out = o.get_string("out", "");
   if (out.empty()) usage("decompose requires --out");
-  const Graph g = load(o.positional()[1]);
   core::ClusterOptions opt;
-  opt.tau = static_cast<std::uint32_t>(o.get_int(
-      "tau", core::tau_for_cluster_target(g.num_nodes(), g.num_nodes() / 4)));
   opt.seed = static_cast<std::uint64_t>(o.get_int("seed", 1));
+  const std::optional<std::uint32_t> tau = parse_tau(o);
+  const Graph g = load(o.positional()[1]);
+  opt.tau = tau.value_or(default_tau(g));
   util::Timer t;
   const core::Clustering c = core::cluster(g, opt);
   core::write_clustering_file(c, out);
@@ -380,7 +370,6 @@ int cmd_sssp(const util::Options& o) {
   opt.delta = o.get_double("delta", 0.0);
   opt.partition = parse_partition(o);
   opt.transport = parse_transport(o, opt.partition);
-  opt.placement = parse_placement(o, opt.partition);
   const RepeatOptions rep = parse_repeat(o);
   const Graph g = load(o.positional()[1]);
 
@@ -436,6 +425,8 @@ int main(int argc, char** argv) {
     if (cmd == "convert") return cmd_convert(opts);
     if (cmd == "--help" || cmd == "help") usage();
     usage(("unknown command '" + cmd + "'").c_str());
+  } catch (const util::OptionError& e) {
+    usage(e.what());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gdiam %s: %s\n", cmd.c_str(), e.what());
     return 1;
