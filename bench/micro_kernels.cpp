@@ -9,6 +9,7 @@
 #include "core/diameter.hpp"
 #include "core/frontier.hpp"
 #include "core/growing.hpp"
+#include "core/quotient.hpp"
 #include "exec/context.hpp"
 #include "gen/mesh.hpp"
 #include "gen/rmat.hpp"
@@ -382,6 +383,23 @@ void BM_DiameterContextFreshRoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiameterContextFreshRoad)->Unit(benchmark::kMillisecond);
+
+// Quotient construction on the R-MAT instance with a fixed CLI-default
+// clustering: the cluster-by-cluster build of core/quotient.cpp, whose
+// cost grows with the cut edges that skewed degrees produce.
+void BM_BuildQuotientRmat(benchmark::State& state) {
+  const Graph& g = rmat_graph();
+  static const core::Clustering c = [&] {
+    core::ClusterOptions o;
+    o.tau = core::tau_for_cluster_target(g.num_nodes(), g.num_nodes() / 4);
+    o.seed = 1;
+    return core::cluster(g, o);
+  }();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::build_quotient(g, c));
+  }
+}
+BENCHMARK(BM_BuildQuotientRmat)->Unit(benchmark::kMillisecond);
 
 void BM_ConnectedComponents(benchmark::State& state) {
   const Graph& g = rmat_graph();

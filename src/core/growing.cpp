@@ -212,13 +212,13 @@ GrowingStepResult GrowingEngine::step_push(const GrowingStepParams& params) {
       while (cand < cur) {
         if (slot.compare_exchange_weak(cur, cand,
                                        std::memory_order_relaxed)) {
-          // Count each node once per step: the first winner of the frontier
-          // stamp observed the step-start label, making the counts
-          // deterministic.
-          if (afrontier_.insert(v)) {
-            ++updates;
-            if (cur == kUnassignedLabel) ++newly;
-          }
+          // Count each node once per step, whatever the interleaving: labels
+          // only decrease, so exactly one successful CAS replaces an
+          // unassigned label, and the frontier stamp admits each node once.
+          // (The stamp winner need not be that CAS: a later, smaller label
+          // can reach insert() first.)
+          if (cur == kUnassignedLabel) ++newly;
+          if (afrontier_.insert(v)) ++updates;
           break;
         }
       }

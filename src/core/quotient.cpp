@@ -1,22 +1,34 @@
 #include "core/quotient.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <stdexcept>
 
-#include "exec/context.hpp"
-#include "graph/builder.hpp"
+#include <omp.h>
+
 #include "sssp/dijkstra.hpp"
 #include "sssp/sweep.hpp"
-#include "util/bitpack.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace gdiam::core {
 
+namespace {
+
+/// One deduplicated quotient arc of a cluster's row.
+struct RowArc {
+  NodeId to;
+  Weight w;
+};
+
+}  // namespace
+
 QuotientGraph build_quotient(const Graph& g, const Clustering& clustering,
-                             exec::Context* ctx) {
+                             exec::Context* /*ctx*/) {
   const NodeId n = g.num_nodes();
-  if (clustering.center_of.size() != n) {
+  const std::vector<NodeId>& center_of = clustering.center_of;
+  const std::vector<Weight>& dist = clustering.dist_to_center;
+  if (center_of.size() != n || dist.size() != n) {
     throw std::invalid_argument("build_quotient: clustering/graph mismatch");
   }
 
@@ -27,80 +39,115 @@ QuotientGraph build_quotient(const Graph& g, const Clustering& clustering,
   // center node id -> cluster index (centers are sorted ascending).
   std::vector<NodeId> index_of_center(n, kInvalidNode);
   for (NodeId i = 0; i < k; ++i) {
-    index_of_center[clustering.centers[i]] = i;
-  }
-  // Membership + radii in one parallel sweep. Radii are max-reductions over
-  // order-encoded doubles (util/bitpack.hpp), so the result is the exact
-  // max regardless of thread interleaving — no floating-point accumulation.
-  out.cluster_of_node.resize(n);
-  std::vector<std::uint64_t> radius_bits(k, util::double_order_bits(0.0));
-#pragma omp parallel for schedule(static, 4096)
-  for (NodeId u = 0; u < n; ++u) {
-    const NodeId cu = index_of_center[clustering.center_of[u]];
-    out.cluster_of_node[u] = cu;
-    util::atomic_fetch_max(
-        radius_bits[cu],
-        util::double_order_bits(clustering.dist_to_center[u]));
-  }
-  out.cluster_radius.resize(k);
-  for (NodeId c = 0; c < k; ++c) {
-    out.cluster_radius[c] = util::double_from_order_bits(radius_bits[c]);
+    const NodeId center = clustering.centers[i];
+    if (center >= n) {
+      throw std::invalid_argument("build_quotient: center id out of range");
+    }
+    index_of_center[center] = i;
   }
 
-  // Inter-cluster edge scan over the whole edge set. Each thread emits into
-  // its own buffer; GraphBuilder's sort+dedup makes the final quotient
-  // independent of emission order, so the result is bit-identical to the
-  // serial construction — and independent of which layout is scanned. When
-  // the context already holds a shard layout for g (a partitioned CLUSTER
-  // run on the same context built one), the scan walks the shards' owned
-  // arcs — every directed arc lives in exactly its source's shard, so the
-  // u < v filter sees each undirected edge exactly once, like the flat scan.
-  util::ThreadBuffers<Edge> cut_edges;
-  const mr::Partition* part = ctx != nullptr ? ctx->find_partition(g) : nullptr;
-  if (part != nullptr && part->num_partitions() > 1) {
-    // Shards in sequence, nodes within a shard in parallel: parallelism stays
-    // O(n) like the flat scan even when K is far below the thread count (a
-    // parallel-over-shards loop would cap the O(m) scan at K threads).
-    for (const mr::Shard& sh : part->shards()) {
-#pragma omp parallel for schedule(dynamic, 1024)
-      for (NodeId l = 0; l < sh.num_owned; ++l) {
-        const NodeId u = sh.global_of_local[l];
-        const NodeId cu = out.cluster_of_node[u];
-        auto& buf = cut_edges.local();
-        for (EdgeIndex i = sh.offsets[l]; i < sh.offsets[l + 1]; ++i) {
-          const NodeId v = sh.global_of_local[sh.targets[i]];
-          if (u >= v) continue;  // each undirected edge once
+  // Membership, then a counting sort of the nodes by cluster: members[
+  // first[c] .. first[c+1]) are cluster c's nodes in ascending id order.
+  out.cluster_of_node.resize(n);
+  std::vector<NodeId> first(static_cast<std::size_t>(k) + 1, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    const NodeId cu =
+        center_of[u] < n ? index_of_center[center_of[u]] : kInvalidNode;
+    if (cu == kInvalidNode) {
+      throw std::invalid_argument(
+          "build_quotient: node assigned to a center not in the centers list");
+    }
+    if (!std::isfinite(dist[u])) {
+      throw std::invalid_argument(
+          "build_quotient: dist_to_center must be finite");
+    }
+    out.cluster_of_node[u] = cu;
+    ++first[cu + 1];
+  }
+  for (NodeId c = 0; c < k; ++c) first[c + 1] += first[c];
+  std::vector<NodeId> members(n);
+  {
+    std::vector<NodeId> next(first.begin(), first.end() - 1);
+    for (NodeId u = 0; u < n; ++u) members[next[out.cluster_of_node[u]]++] = u;
+  }
+
+  // Cluster by cluster: scan the full adjacency of the members and keep the
+  // minimum weight per target cluster. Each undirected cut edge is seen once
+  // from each side, so row c holds c's arcs of the symmetric quotient and
+  // nothing needs doubling or a global sort. The weight is summed as
+  // (w + d_lo) + d_hi by node id, so both sides compute the same bits as the
+  // serial u < v construction; a row's content is then independent of the
+  // thread that builds it. Rows land in per-thread arenas and are copied
+  // into the CSR once their lengths are known.
+  out.cluster_radius.assign(k, 0.0);
+  std::vector<EdgeIndex> offsets(static_cast<std::size_t>(k) + 1, 0);
+  std::vector<std::size_t> row_start(k);
+  std::vector<int> row_owner(k);
+  std::vector<std::vector<RowArc>> arenas(
+      static_cast<std::size_t>(omp_get_max_threads()));
+  std::atomic<bool> bad_weight{false};
+#pragma omp parallel
+  {
+    const int t = omp_get_thread_num();
+    std::vector<RowArc>& rows = arenas[static_cast<std::size_t>(t)];
+    // slot[c'] is c''s index in the current row when it points at an arc to
+    // c'; stale entries from earlier rows fail that check, so the array
+    // never needs clearing between clusters.
+    std::vector<NodeId> slot(k);
+#pragma omp for schedule(dynamic, 16)
+    for (NodeId c = 0; c < k; ++c) {
+      const std::size_t start = rows.size();
+      Weight radius = 0.0;
+      for (NodeId e = first[c]; e < first[c + 1]; ++e) {
+        const NodeId u = members[e];
+        const Weight du = dist[u];
+        radius = std::max(radius, du);
+        const auto nbr = g.neighbors(u);
+        const auto wts = g.weights(u);
+        for (std::size_t i = 0; i < nbr.size(); ++i) {
+          const NodeId v = nbr[i];
           const NodeId cv = out.cluster_of_node[v];
-          if (cu == cv) continue;  // intra-cluster edges vanish
-          buf.push_back(Edge{cu, cv,
-                             sh.weights[i] + clustering.dist_to_center[u] +
-                                 clustering.dist_to_center[v]});
+          if (cv == c) continue;  // intra-cluster edges vanish
+          const Weight w =
+              u < v ? wts[i] + du + dist[v] : wts[i] + dist[v] + du;
+          if (!(w > 0.0) || !std::isfinite(w)) {
+            bad_weight.store(true, std::memory_order_relaxed);
+          }
+          const std::size_t s = start + slot[cv];
+          if (s < rows.size() && rows[s].to == cv) {
+            rows[s].w = std::min(rows[s].w, w);  // the paper's min rule
+          } else {
+            slot[cv] = static_cast<NodeId>(rows.size() - start);
+            rows.push_back(RowArc{cv, w});
+          }
         }
       }
-    }
-  } else {
-#pragma omp parallel for schedule(dynamic, 1024)
-    for (NodeId u = 0; u < n; ++u) {
-      const auto nbr = g.neighbors(u);
-      const auto wts = g.weights(u);
-      const NodeId cu = out.cluster_of_node[u];
-      auto& buf = cut_edges.local();
-      for (std::size_t i = 0; i < nbr.size(); ++i) {
-        const NodeId v = nbr[i];
-        if (u >= v) continue;  // each undirected edge once
-        const NodeId cv = out.cluster_of_node[v];
-        if (cu == cv) continue;  // intra-cluster edges vanish
-        // Inter-cluster weight w(u,v) + d_u + d_v; GraphBuilder keeps the
-        // minimum over parallel edges (the paper's rule).
-        buf.push_back(Edge{cu, cv,
-                           wts[i] + clustering.dist_to_center[u] +
-                               clustering.dist_to_center[v]});
-      }
+      std::sort(rows.begin() + static_cast<std::ptrdiff_t>(start), rows.end(),
+                [](const RowArc& a, const RowArc& b) { return a.to < b.to; });
+      out.cluster_radius[c] = radius;
+      offsets[c + 1] = rows.size() - start;
+      row_start[c] = start;
+      row_owner[c] = t;
     }
   }
-  GraphBuilder b(k);
-  b.add_edges(cut_edges.gather());
-  out.graph = b.build_parallel();
+  if (bad_weight.load(std::memory_order_relaxed)) {
+    throw std::invalid_argument(
+        "build_quotient: quotient weight must be positive and finite");
+  }
+
+  for (NodeId c = 0; c < k; ++c) offsets[c + 1] += offsets[c];
+  std::vector<NodeId> targets(offsets[k]);
+  std::vector<Weight> weights(offsets[k]);
+#pragma omp parallel for schedule(static, 256)
+  for (NodeId c = 0; c < k; ++c) {
+    const RowArc* row = arenas[static_cast<std::size_t>(row_owner[c])].data() +
+                        row_start[c];
+    for (EdgeIndex i = offsets[c]; i < offsets[c + 1]; ++i, ++row) {
+      targets[i] = row->to;
+      weights[i] = row->w;
+    }
+  }
+  out.graph = Graph(std::move(offsets), std::move(targets), std::move(weights));
   return out;
 }
 

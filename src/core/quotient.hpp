@@ -31,12 +31,17 @@ struct QuotientGraph {
   std::vector<Weight> cluster_radius;
 };
 
-/// Builds G_C from a clustering of g. When `ctx` (exec/context.hpp) holds a
-/// cached shard layout for g — a partitioned CLUSTER run on the same context
-/// leaves one behind — the inter-cluster edge scan walks the shards' owned
-/// arcs instead of the flat CSR, reusing the layout the decomposition paid
-/// for; the quotient is bit-identical either way (GraphBuilder's sort+dedup
-/// makes the result independent of emission order).
+/// Builds G_C from a clustering of g in O(n + m) work, one cluster at a
+/// time: the nodes are counting-sorted by cluster, each cluster's members'
+/// adjacency is scanned and min-deduplicated per target cluster, and the
+/// sorted rows are written straight into the quotient CSR. Each cut edge
+/// weight is summed as (w + d_lo) + d_hi with d_lo the distance of its
+/// lower-id endpoint, so the CSR arrays are bit-identical to the serial
+/// construction for any thread count. Throws std::invalid_argument when the
+/// clustering does not fit g: size mismatch, a center id ≥ n, a node whose
+/// center is not in `centers`, a non-finite distance, or a quotient weight
+/// that is not positive and finite. `ctx` is accepted for the uniform layer
+/// signature (exec/context.hpp); the build caches nothing in it.
 [[nodiscard]] QuotientGraph build_quotient(const Graph& g,
                                            const Clustering& clustering,
                                            exec::Context* ctx = nullptr);

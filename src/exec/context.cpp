@@ -78,13 +78,6 @@ const mr::Partition& Context::partition_for(const Graph& g,
   return *partitions_.front().partition;
 }
 
-const mr::Partition* Context::find_partition(const Graph& g) const {
-  for (const auto& e : partitions_) {
-    if (e.key.matches(g)) return e.partition.get();
-  }
-  return nullptr;
-}
-
 const std::vector<CsrSplit>& Context::shard_splits_for(
     const Graph& g, const mr::PartitionOptions& opts, Weight delta) {
   const mr::Partition& part = partition_for(g, opts);

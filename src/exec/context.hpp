@@ -111,11 +111,6 @@ class Context {
   const mr::Partition& partition_for(const Graph& g,
                                      const mr::PartitionOptions& opts);
 
-  /// The most recently used cached partition for g, or nullptr if none has
-  /// been built — a pure lookup for consumers (the quotient edge scan) that
-  /// can exploit a shard layout but should not pay for building one.
-  [[nodiscard]] const mr::Partition* find_partition(const Graph& g) const;
-
   /// Cached per-shard Δ-presplits of partition_for(g, opts)'s shard CSRs.
   /// LRU-bounded like split_for.
   const std::vector<CsrSplit>& shard_splits_for(const Graph& g,

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include <omp.h>
-
 namespace gdiam {
 
 namespace {
@@ -18,40 +16,6 @@ bool arc_less(const Edge& a, const Edge& b) noexcept {
   if (a.u != b.u) return a.u < b.u;
   if (a.v != b.v) return a.v < b.v;
   return a.w < b.w;
-}
-
-/// OpenMP chunked merge sort with the same total order as std::sort —
-/// identical output for any input (equal arcs are indistinguishable).
-void parallel_sort_arcs(std::vector<Edge>& arcs) {
-  const auto threads = static_cast<std::size_t>(omp_get_max_threads());
-  if (arcs.size() < (1u << 15)) {
-    std::sort(arcs.begin(), arcs.end(), arc_less);
-    return;
-  }
-  // At least 4 chunks even single-threaded: the merge tree then runs (and is
-  // tested) everywhere, and its serial overhead over one big sort is noise.
-  std::size_t chunks = 4;
-  while (chunks < threads && chunks < 64) chunks <<= 1;
-  std::vector<std::size_t> bounds(chunks + 1);
-  for (std::size_t c = 0; c <= chunks; ++c) {
-    bounds[c] = arcs.size() * c / chunks;
-  }
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::size_t c = 0; c < chunks; ++c) {
-    std::sort(arcs.begin() + bounds[c], arcs.begin() + bounds[c + 1],
-              arc_less);
-  }
-  for (std::size_t width = 1; width < chunks; width *= 2) {
-#pragma omp parallel for schedule(dynamic, 1)
-    for (std::size_t c = 0; c < chunks; c += 2 * width) {
-      const std::size_t mid = c + width;
-      const std::size_t end = std::min(c + 2 * width, chunks);
-      if (mid < end) {
-        std::inplace_merge(arcs.begin() + bounds[c], arcs.begin() + bounds[mid],
-                           arcs.begin() + bounds[end], arc_less);
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -90,7 +54,9 @@ void GraphBuilder::add_edges(EdgeList&& edges) {
   add_edges(edges);
 }
 
-std::vector<Edge> GraphBuilder::materialize_arcs() {
+Graph GraphBuilder::build() {
+  // Materialize both arc directions, then sort and deduplicate keeping the
+  // minimum weight for parallel edges.
   std::vector<Edge> arcs;
   arcs.reserve(edges_.size() * 2);
   for (const Edge& e : edges_) {
@@ -99,10 +65,7 @@ std::vector<Edge> GraphBuilder::materialize_arcs() {
   }
   edges_.clear();
   edges_.shrink_to_fit();
-  return arcs;
-}
-
-Graph GraphBuilder::emit_sorted(std::vector<Edge> arcs) const {
+  std::sort(arcs.begin(), arcs.end(), arc_less);
   arcs.erase(std::unique(arcs.begin(), arcs.end(),
                          [](const Edge& a, const Edge& b) {
                            return a.u == b.u && a.v == b.v;
@@ -120,20 +83,6 @@ Graph GraphBuilder::emit_sorted(std::vector<Edge> arcs) const {
     weights[i] = arcs[i].w;
   }
   return Graph(std::move(offsets), std::move(targets), std::move(weights));
-}
-
-Graph GraphBuilder::build() {
-  // Materialize both arc directions, then sort and deduplicate keeping the
-  // minimum weight for parallel edges.
-  std::vector<Edge> arcs = materialize_arcs();
-  std::sort(arcs.begin(), arcs.end(), arc_less);
-  return emit_sorted(std::move(arcs));
-}
-
-Graph GraphBuilder::build_parallel() {
-  std::vector<Edge> arcs = materialize_arcs();
-  parallel_sort_arcs(arcs);
-  return emit_sorted(std::move(arcs));
 }
 
 Graph build_graph(NodeId num_nodes, const EdgeList& edges) {

@@ -16,7 +16,6 @@
 #include "core/cluster.hpp"
 #include "core/cluster2.hpp"
 #include "core/diameter.hpp"
-#include "core/quotient.hpp"
 #include "sssp/sweep.hpp"
 #include "test_helpers.hpp"
 
@@ -57,10 +56,9 @@ TEST(ExecContext, SplitCacheEvictionRebuildsCorrectEntries) {
   }
 }
 
-TEST(ExecContext, PartitionCacheKeyedByOptionsAndDiscoverable) {
+TEST(ExecContext, PartitionCacheKeyedByGraphAndOptions) {
   const Graph g = test::make_family(Family::kGnmUniform, 150, 7);
   exec::Context ctx;
-  EXPECT_EQ(ctx.find_partition(g), nullptr);
   mr::PartitionOptions two{.num_partitions = 2};
   mr::PartitionOptions three{.num_partitions = 3};
   const mr::Partition& p2 = ctx.partition_for(g, two);
@@ -69,10 +67,13 @@ TEST(ExecContext, PartitionCacheKeyedByOptionsAndDiscoverable) {
   EXPECT_NE(&p2, &p3);
   EXPECT_TRUE(p2.validate(g));
   EXPECT_TRUE(p3.validate(g));
-  // find_partition is a pure lookup returning the MRU layout for g.
-  EXPECT_EQ(ctx.find_partition(g), &p3);
+  // Partitions are never evicted: both layouts stay cached.
+  EXPECT_EQ(&ctx.partition_for(g, two), &p2);
+  EXPECT_EQ(&ctx.partition_for(g, three), &p3);
   const Graph other = test::make_family(Family::kMeshUniform, 100, 9);
-  EXPECT_EQ(ctx.find_partition(other), nullptr);
+  const mr::Partition& q2 = ctx.partition_for(other, two);
+  EXPECT_NE(&q2, &p2);
+  EXPECT_TRUE(q2.validate(other));
 }
 
 TEST(ExecContext, GrowingEnginesArePooledPerKey) {
@@ -267,32 +268,6 @@ TEST(ExecContext, InterleavedKernelsStayIndependent) {
   }
 }
 
-// The quotient edge scan over a cached shard layout must produce the
-// bit-identical quotient graph to the flat scan.
-TEST(ExecContext, QuotientShardScanMatchesFlatScan) {
-  for (const std::uint32_t k : {2u, 7u}) {
-    const Graph g = test::make_family(Family::kGnmUniform, 200, 43);
-    const core::ClusterOptions copts = cluster_opts_for(k);
-    exec::Context ctx;
-    const core::Clustering c = core::cluster(g, copts, &ctx);
-    ASSERT_NE(ctx.find_partition(g), nullptr);
-
-    const core::QuotientGraph flat = core::build_quotient(g, c);
-    const core::QuotientGraph sharded = core::build_quotient(g, c, &ctx);
-    EXPECT_EQ(flat.graph.num_nodes(), sharded.graph.num_nodes());
-    EXPECT_EQ(flat.graph.num_edges(), sharded.graph.num_edges());
-    EXPECT_EQ(test::vec(flat.graph.offsets()),
-              test::vec(sharded.graph.offsets()));
-    EXPECT_EQ(test::vec(flat.graph.targets()),
-              test::vec(sharded.graph.targets()));
-    EXPECT_EQ(test::vec(flat.graph.edge_weights()),
-              test::vec(sharded.graph.edge_weights()));
-    EXPECT_EQ(flat.cluster_of_node, sharded.cluster_of_node);
-    EXPECT_EQ(flat.cluster_radius, sharded.cluster_radius);
-    EXPECT_EQ(flat.center_of_cluster, sharded.center_of_cluster);
-  }
-}
-
 // The CL-DIAM driver files its cost into the context's StatsSink per phase;
 // the decompose phase carries exactly the clustering's stats and the
 // roll-up includes the quotient/diameter auxiliary rounds.
@@ -321,7 +296,6 @@ TEST(ExecContext, DiameterFilesPhaseStats) {
 
   ctx.clear();
   EXPECT_EQ(ctx.stats().find("decompose"), nullptr);
-  EXPECT_EQ(ctx.find_partition(g), nullptr);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "core/cluster.hpp"
 #include "core/quotient.hpp"
@@ -14,6 +16,7 @@
 #include "graph/ops.hpp"
 #include "sssp/dijkstra.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
 
 namespace gdiam::core {
 namespace {
@@ -88,6 +91,67 @@ TEST(Quotient, MismatchedClusteringThrows) {
   EXPECT_THROW((void)build_quotient(g, c), std::invalid_argument);
 }
 
+// A clustering file is untrusted input: a center id outside the graph or a
+// node pointing at a center missing from the centers list must come back as
+// a typed error, not an out-of-range write.
+TEST(Quotient, UnlistedCenterThrows) {
+  const Graph g = gen::path(4);
+  Clustering c;
+  c.center_of = {0, 0, 2, 2};  // 2 is not in the centers list
+  c.dist_to_center = {0.0, 1.0, 0.0, 1.0};
+  c.centers = {0, 3};
+  EXPECT_THROW((void)build_quotient(g, c), std::invalid_argument);
+}
+
+TEST(Quotient, CenterOutOfRangeThrows) {
+  const Graph g = gen::path(4);
+  Clustering c;
+  c.center_of = {0, 0, 3, 3};
+  c.dist_to_center = {0.0, 1.0, 1.0, 0.0};
+  c.centers = {0, 7};
+  EXPECT_THROW((void)build_quotient(g, c), std::invalid_argument);
+  c.centers = {0, 3};
+  c.center_of = {0, 0, 9, 3};
+  EXPECT_THROW((void)build_quotient(g, c), std::invalid_argument);
+}
+
+TEST(Quotient, NonFiniteDistanceThrows) {
+  const Graph g = gen::path(4);
+  Clustering c;
+  c.center_of = {0, 0, 3, 3};
+  c.centers = {0, 3};
+  for (const Weight bad : {std::numeric_limits<Weight>::quiet_NaN(),
+                           kInfiniteWeight}) {
+    c.dist_to_center = {0.0, bad, 1.0, 0.0};
+    EXPECT_THROW((void)build_quotient(g, c), std::invalid_argument);
+  }
+  // Finite distances whose sum is not a positive weight are rejected too.
+  c.dist_to_center = {0.0, -1.0, -1.0, 0.0};
+  EXPECT_THROW((void)build_quotient(g, c), std::invalid_argument);
+}
+
+// Floating-point addition is not associative: (0.3 + 0.1) + 0.2 and
+// (0.3 + 0.2) + 0.1 differ in the last bit. The quotient weight is summed
+// as (w + d_lo) + d_hi by node id even when the higher-id endpoint's
+// cluster is scanned first, so both arc directions carry the bits of the
+// serial u < v construction.
+TEST(Quotient, WeightSumsLowerIdDistanceFirst) {
+  GraphBuilder b(4);
+  b.add_edge(0, 3, 0.2);
+  b.add_edge(1, 2, 0.1);
+  b.add_edge(2, 3, 0.3);
+  const Graph g = b.build();
+  Clustering c;
+  c.center_of = {0, 1, 1, 0};  // node 3 lies in cluster 0, scanned first
+  c.dist_to_center = {0.0, 0.0, 0.1, 0.2};
+  c.centers = {0, 1};
+  const QuotientGraph q = build_quotient(g, c);
+  const Weight expected = (0.3 + 0.1) + 0.2;
+  ASSERT_NE(expected, (0.3 + 0.2) + 0.1);
+  EXPECT_EQ(edge_weight(q.graph, 0, 1), expected);
+  EXPECT_EQ(edge_weight(q.graph, 1, 0), expected);
+}
+
 TEST(Quotient, IntraClusterEdgesVanish) {
   const Graph g = gen::complete(6);
   Clustering c;
@@ -101,9 +165,10 @@ TEST(Quotient, IntraClusterEdgesVanish) {
 }
 
 // ---------------------------------------------------------------------------
-// The parallel construction (OpenMP edge scan + atomic-max radii + parallel
-// sort) must reproduce the straightforward serial build bit-for-bit:
-// identical quotient CSR arrays, membership and radii.
+// The cluster-by-cluster construction must reproduce the straightforward
+// serial build (each cut edge once with u < v, GraphBuilder's sort + min
+// dedup) bit-for-bit: identical quotient CSR arrays, membership and radii,
+// for any thread count.
 
 QuotientGraph serial_reference_quotient(const Graph& g, const Clustering& c) {
   QuotientGraph out;
@@ -136,47 +201,61 @@ QuotientGraph serial_reference_quotient(const Graph& g, const Clustering& c) {
   return out;
 }
 
+/// Skewed clusterings the decomposition rarely produces: one giant cluster
+/// centered at node 0 plus singletons, every node its own cluster, and a
+/// single cluster. Distances vary per node so the weight sums round.
+std::vector<Clustering> skewed_clusterings(const Graph& g) {
+  const NodeId n = g.num_nodes();
+  std::vector<Clustering> out;
+  Clustering giant;
+  Clustering one;
+  for (NodeId u = 0; u < n; ++u) {
+    const bool in_giant = u == 0 || u % 5 != 0;
+    giant.center_of.push_back(in_giant ? 0 : u);
+    giant.dist_to_center.push_back(in_giant && u != 0 ? 0.1 * (u % 7) : 0.0);
+    if (!in_giant) giant.centers.push_back(u);
+    one.center_of.push_back(0);
+    one.dist_to_center.push_back(0.1 * (u % 3));
+  }
+  giant.centers.insert(giant.centers.begin(), 0);
+  one.centers = {0};
+  out.push_back(giant);
+  out.push_back(identity_clustering(g));
+  out.push_back(one);
+  return out;
+}
+
 TEST(QuotientParallel, BitIdenticalToSerialReferenceOnAllFamilies) {
+  const int prev = util::num_threads();
   for (const Family family : test::all_families()) {
     const Graph g = test::make_family(family, 220, 19);
     ClusterOptions opts;
     opts.tau = 4;
     opts.seed = 29;
     opts.stop_factor = 2.0;
-    const Clustering c = cluster(g, opts);
+    std::vector<Clustering> clusterings = skewed_clusterings(g);
+    clusterings.push_back(cluster(g, opts));
 
-    const QuotientGraph a = serial_reference_quotient(g, c);
-    const QuotientGraph b = build_quotient(g, c);
-    EXPECT_EQ(a.cluster_of_node, b.cluster_of_node)
-        << test::family_name(family);
-    EXPECT_EQ(a.cluster_radius, b.cluster_radius);  // exact, not approximate
-    EXPECT_EQ(a.center_of_cluster, b.center_of_cluster);
-    EXPECT_EQ(test::vec(a.graph.offsets()), test::vec(b.graph.offsets()));
-    EXPECT_EQ(test::vec(a.graph.targets()), test::vec(b.graph.targets()));
-    EXPECT_EQ(test::vec(a.graph.edge_weights()),
-              test::vec(b.graph.edge_weights()));
+    for (const Clustering& c : clusterings) {
+      const QuotientGraph a = serial_reference_quotient(g, c);
+      for (const int threads : {1, 3, 8}) {
+        util::set_num_threads(threads);
+        const QuotientGraph b = build_quotient(g, c);
+        SCOPED_TRACE(std::string(test::family_name(family)) +
+                     " k=" + std::to_string(c.centers.size()) +
+                     " threads=" + std::to_string(threads));
+        EXPECT_EQ(a.cluster_of_node, b.cluster_of_node);
+        EXPECT_EQ(a.cluster_radius, b.cluster_radius);  // exact
+        EXPECT_EQ(a.center_of_cluster, b.center_of_cluster);
+        EXPECT_EQ(test::vec(a.graph.offsets()), test::vec(b.graph.offsets()));
+        EXPECT_EQ(test::vec(a.graph.targets()), test::vec(b.graph.targets()));
+        EXPECT_EQ(test::vec(a.graph.edge_weights()),
+                  test::vec(b.graph.edge_weights()));
+        EXPECT_TRUE(b.graph.is_symmetric());
+      }
+    }
   }
-}
-
-TEST(QuotientParallel, BuildParallelMatchesBuildOnAdversarialInput) {
-  // Duplicates, parallel edges with distinct weights, both orientations —
-  // the dedup rule (min weight per pair) must come out identical.
-  util::Xoshiro256 rng(101);
-  GraphBuilder serial(300);
-  GraphBuilder parallel(300);
-  for (int i = 0; i < 50000; ++i) {
-    const auto u = static_cast<NodeId>(rng.next_bounded(300));
-    const auto v = static_cast<NodeId>(rng.next_bounded(300));
-    if (u == v) continue;
-    const Weight w = 1.0 + static_cast<Weight>(rng.next_bounded(8));
-    serial.add_edge(u, v, w);
-    parallel.add_edge(u, v, w);
-  }
-  const Graph a = serial.build();
-  const Graph b = parallel.build_parallel();
-  EXPECT_EQ(test::vec(a.offsets()), test::vec(b.offsets()));
-  EXPECT_EQ(test::vec(a.targets()), test::vec(b.targets()));
-  EXPECT_EQ(test::vec(a.edge_weights()), test::vec(b.edge_weights()));
+  util::set_num_threads(prev);
 }
 
 // ---------------------------------------------------------------------------
