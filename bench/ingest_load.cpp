@@ -6,18 +6,15 @@
 //                      streaming from_chars parser);
 //   mmap_open        — open_mmap on the converted .gcsr, full checksum
 //                      verification included (the serving default);
-//   first_query_cold — open a sidecar-less .gcsr, fresh exec::Context, one
-//                      Δ-stepping query: the context pays the O(m) presplit
-//                      before the first relaxation;
-//   first_query_warm — open a .gcsr carrying the presplit sidecar for the
-//                      query Δ, adopt it, same query: the reorder was paid
-//                      once at conversion time.
+//   first_query_cold — open the .gcsr, fresh exec::Context, one Δ-stepping
+//                      query: the context pays the O(m) presplit before the
+//                      first relaxation;
+//   gcsr_write       — write_gcsr of the in-memory graph.
 //
 // Emits BENCH_ingest.json with rows keyed by "name" ("real_time" in ms,
-// medians) plus the gated top-level fields
-//   ingest_mmap_speedup   = text_parse / mmap_open
-//   presplit_warm_speedup = first_query_cold / first_query_warm
-// so tools/bench_diff.py flags a regression of either ratio against
+// medians) plus the gated top-level field
+//   ingest_mmap_speedup = text_parse / mmap_open
+// so tools/bench_diff.py flags a regression of the ratio against
 // bench/baseline/BENCH_ingest.json.
 //
 //   ./bench_ingest_load [--scale ci|small|paper] [--reps N]
@@ -88,7 +85,6 @@ int main(int argc, char** argv) {
       "/tmp/gdiam_bench_ingest_" + std::to_string(::getpid());
   const std::string text_path = stem + ".el";
   const std::string plain_path = stem + "_plain.gcsr";
-  const std::string warm_path = stem + "_presplit.gcsr";
 
   {
     std::ofstream f(text_path);
@@ -96,9 +92,6 @@ int main(int argc, char** argv) {
   }
   const double write_plain_ms =
       median_ms(1, [&] { io::write_gcsr(g, plain_path); });
-  const double write_warm_ms = median_ms(1, [&] {
-    io::write_gcsr(g, warm_path, {.presplit_deltas = {delta}});
-  });
 
   const double text_ms =
       median_ms(reps, [&] { (void)io::read_edge_list_file(text_path); });
@@ -112,16 +105,8 @@ int main(int argc, char** argv) {
     exec::Context ctx;
     (void)sssp::delta_stepping(mg, 0, qopt, &ctx);
   });
-  const double warm_ms = median_ms(reps, [&] {
-    const io::MappedGraph m = io::open_mmap(warm_path);
-    const Graph& mg = m.graph();
-    exec::Context ctx;
-    ctx.adopt_presplits(mg, m);
-    (void)sssp::delta_stepping(mg, 0, qopt, &ctx);
-  });
 
   const double mmap_speedup = mmap_ms > 0.0 ? text_ms / mmap_ms : 0.0;
-  const double warm_speedup = warm_ms > 0.0 ? cold_ms / warm_ms : 0.0;
 
   bench::JsonReport report("ingest");
   report.put("scale", util::scale_name(scale));
@@ -131,7 +116,6 @@ int main(int argc, char** argv) {
   report.put("delta", delta);
   report.put("reps", static_cast<std::uint64_t>(reps));
   report.put("ingest_mmap_speedup", mmap_speedup);
-  report.put("presplit_warm_speedup", warm_speedup);
 
   util::Table table({"path", "median ms"});
   const auto emit = [&](const char* label, const char* name, double ms) {
@@ -141,18 +125,13 @@ int main(int argc, char** argv) {
   emit("text parse (.el)", "text_parse", text_ms);
   emit("mmap open (.gcsr, verified)", "mmap_open", mmap_ms);
   emit("first query, cold presplit", "first_query_cold", cold_ms);
-  emit("first query, adopted presplit", "first_query_warm", warm_ms);
   emit("write .gcsr", "gcsr_write", write_plain_ms);
-  emit("write .gcsr + sidecar", "gcsr_write_presplit", write_warm_ms);
   table.print(std::cout);
   std::printf("\ningest speedup:  %.2fx (text %.2fms -> mmap %.2fms)\n",
               mmap_speedup, text_ms, mmap_ms);
-  std::printf("presplit warm:   %.2fx (cold %.2fms -> warm %.2fms)\n",
-              warm_speedup, cold_ms, warm_ms);
 
   ::unlink(text_path.c_str());
   ::unlink(plain_path.c_str());
-  ::unlink(warm_path.c_str());
 
   const std::string path = report.write();
   if (!path.empty()) std::printf("\nwrote %s\n", path.c_str());

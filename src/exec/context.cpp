@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/growing.hpp"
-#include "graph/binfmt.hpp"
 
 namespace gdiam::exec {
 
@@ -97,37 +96,6 @@ const std::vector<CsrSplit>& Context::shard_splits_for(
   shard_splits_.insert(shard_splits_.begin(),
                        ShardSplitEntry{&part, delta, std::move(splits)});
   return *shard_splits_.front().splits;
-}
-
-std::size_t Context::adopt_presplits(const Graph& g, const io::MappedGraph& m) {
-  if (!m.covers(g)) {
-    throw io::BinfmtError(
-        io::BinfmtErrc::kFingerprintMismatch,
-        "presplit adoption: graph is not a view of this mapping");
-  }
-  // Stage everything first: a kBadPresplit thrown by the third sidecar must
-  // not leave the first two behind in the cache.
-  std::vector<SplitEntry> staged;
-  for (const Weight delta : m.presplit_deltas()) {
-    if (has_split(g, delta)) continue;
-    CsrSplit data;
-    if (!m.load_presplit(delta, data)) continue;
-    staged.push_back(SplitEntry{GraphKey::of(g), delta,
-                                std::make_unique<SplitCsr>(g, delta,
-                                                           std::move(data))});
-  }
-  for (auto& e : staged) {
-    if (splits_.size() >= kMaxSplits) splits_.pop_back();
-    splits_.insert(splits_.begin(), std::move(e));
-  }
-  return staged.size();
-}
-
-bool Context::has_split(const Graph& g, Weight delta) const {
-  for (const auto& e : splits_) {
-    if (e.key.matches(g) && e.delta == delta) return true;
-  }
-  return false;
 }
 
 core::GrowingEngine& Context::growing_engine(const Graph& g,

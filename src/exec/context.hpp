@@ -56,10 +56,6 @@ class GrowingEngine;
 enum class GrowingPolicy;
 }  // namespace gdiam::core
 
-namespace gdiam::io {
-class MappedGraph;
-}  // namespace gdiam::io
-
 namespace gdiam::exec {
 
 /// Named RoundStats accumulators, one per pipeline phase, in first-use order.
@@ -116,19 +112,6 @@ class Context {
   const std::vector<CsrSplit>& shard_splits_for(const Graph& g,
                                                 const mr::PartitionOptions& opts,
                                                 Weight delta);
-
-  /// Adopts the persisted presplit sidecars of a mapped .gcsr file into the
-  /// split cache for `g` — the load-from-file warm path (DESIGN.md §14).
-  /// `g` must be a view into `m`'s mapping (m.covers(g)); anything else
-  /// throws io::BinfmtError{kFingerprintMismatch}. All-or-nothing: every
-  /// sidecar is loaded and bounds-validated before any cache entry commits,
-  /// so a bad sidecar can never leave a partially warmed cache. Returns the
-  /// number of layouts adopted (0 when the file carries none).
-  std::size_t adopt_presplits(const Graph& g, const io::MappedGraph& m);
-
-  /// True when split_for(g, delta) would hit the cache. Pure lookup: does
-  /// not touch LRU order.
-  [[nodiscard]] bool has_split(const Graph& g, Weight delta) const;
 
   // --- (b) pooled per-run scratch ------------------------------------------
 

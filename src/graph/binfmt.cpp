@@ -7,10 +7,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <fstream>
-#include <utility>
+#include <memory>
 
 #include "util/fault.hpp"
 
@@ -20,16 +19,13 @@ namespace {
 
 constexpr char kMagic[8] = {'g', 'd', 'i', 'a', 'm', 'C', 'S', 'R'};
 constexpr std::size_t kAlign = 64;
-constexpr std::uint32_t kFlagHasPresplit = 1u;
 constexpr std::uint32_t kWeightKindF64 = 0;
 
 // Section kinds, in the order they appear in a file.
 constexpr std::uint32_t kSecOffsets = 1;
 constexpr std::uint32_t kSecTargets = 2;
 constexpr std::uint32_t kSecWeights = 3;
-constexpr std::uint32_t kSecPresplitSplit = 4;
-constexpr std::uint32_t kSecPresplitTargets = 5;
-constexpr std::uint32_t kSecPresplitWeights = 6;
+constexpr std::uint32_t kGraphSections = 3;
 
 /// 128-byte on-disk header. The layout is frozen: future format versions
 /// may only reinterpret `reserved`, so version checking always works.
@@ -58,7 +54,7 @@ struct SectionEntry {
   std::uint64_t offset = 0;  // absolute byte offset, 64-byte aligned
   std::uint64_t length = 0;  // payload bytes (padding excluded)
   std::uint64_t checksum = 0;
-  double delta = 0.0;  // presplit sections only
+  std::uint64_t unused = 0;  // written 0; earlier builds kept a Δ here
 };
 static_assert(sizeof(SectionEntry) == 40, "frozen .gcsr table layout");
 
@@ -127,8 +123,6 @@ const char* to_string(BinfmtErrc code) noexcept {
     case BinfmtErrc::kBadSection: return "bad_section";
     case BinfmtErrc::kChecksumMismatch: return "checksum_mismatch";
     case BinfmtErrc::kBadWeightKind: return "bad_weight_kind";
-    case BinfmtErrc::kBadPresplit: return "bad_presplit";
-    case BinfmtErrc::kFingerprintMismatch: return "fingerprint_mismatch";
   }
   return "?";
 }
@@ -140,9 +134,8 @@ BinfmtError::BinfmtError(BinfmtErrc code, const std::string& detail)
 
 std::uint64_t gcsr_checksum(const void* data, std::size_t len) noexcept {
   // FNV-1a 64 folded over 8-byte words (tail bytes one at a time): the
-  // byte-serial variant caps verification at a few hundred MB/s, which would
-  // make checksum-verified open_mmap slower than the presplit work the
-  // sidecars exist to skip.
+  // byte-serial variant caps verification at a few hundred MB/s, a large
+  // share of a checksum-verified open_mmap.
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint64_t h = 0xcbf29ce484222325ull;
   std::size_t i = 0;
@@ -159,59 +152,27 @@ std::uint64_t gcsr_checksum(const void* data, std::size_t len) noexcept {
   return h;
 }
 
-void write_gcsr(const Graph& g, const std::string& path,
-                const GcsrWriteOptions& opts) {
-  std::vector<Weight> deltas = opts.presplit_deltas;
-  for (const Weight d : deltas) {
-    if (!std::isfinite(d) || d < 0.0) {
-      fail(BinfmtErrc::kBadPresplit,
-           path + ": presplit delta must be finite and >= 0");
-    }
-  }
-  std::sort(deltas.begin(), deltas.end());
-  deltas.erase(std::unique(deltas.begin(), deltas.end()), deltas.end());
-
+void write_gcsr(const Graph& g, const std::string& path) {
   const std::uint64_t n = g.num_nodes();
   const std::uint64_t arcs = g.num_directed_edges();
 
   struct Payload {
     std::uint32_t kind;
-    double delta;
     const void* data;
     std::uint64_t length;
   };
-  std::vector<Payload> payloads;
-  payloads.reserve(3 + 3 * deltas.size());
-  payloads.push_back({kSecOffsets, 0.0, g.offsets().data(),
-                      g.offsets().size_bytes()});
-  payloads.push_back({kSecTargets, 0.0, g.targets().data(),
-                      g.targets().size_bytes()});
-  payloads.push_back({kSecWeights, 0.0, g.edge_weights().data(),
-                      g.edge_weights().size_bytes()});
+  const Payload payloads[kGraphSections] = {
+      {kSecOffsets, g.offsets().data(), g.offsets().size_bytes()},
+      {kSecTargets, g.targets().data(), g.targets().size_bytes()},
+      {kSecWeights, g.edge_weights().data(), g.edge_weights().size_bytes()},
+  };
 
-  // The reorder happens here, once, at conversion time — exactly the work a
-  // presplit-warmed server start skips.
-  std::vector<CsrSplit> splits;
-  splits.reserve(deltas.size());
-  for (const Weight d : deltas) {
-    splits.push_back(
-        presplit_csr(g.offsets(), g.targets(), g.edge_weights(), d));
-    const CsrSplit& s = splits.back();
-    payloads.push_back({kSecPresplitSplit, d, s.split.data(),
-                        s.split.size() * sizeof(EdgeIndex)});
-    payloads.push_back({kSecPresplitTargets, d, s.targets.data(),
-                        s.targets.size() * sizeof(NodeId)});
-    payloads.push_back({kSecPresplitWeights, d, s.weights.data(),
-                        s.weights.size() * sizeof(Weight)});
-  }
-
-  std::vector<SectionEntry> table;
-  table.reserve(payloads.size());
+  SectionEntry table[kGraphSections];
   std::uint64_t off = sizeof(GcsrHeader);
-  for (const Payload& p : payloads) {
+  for (std::uint32_t i = 0; i < kGraphSections; ++i) {
+    const Payload& p = payloads[i];
     off = align_up(off);
-    table.push_back({p.kind, 0, off, p.length,
-                     gcsr_checksum(p.data, p.length), p.delta});
+    table[i] = {p.kind, 0, off, p.length, gcsr_checksum(p.data, p.length), 0};
     off += p.length;
   }
   const std::uint64_t table_off = align_up(off);
@@ -219,11 +180,10 @@ void write_gcsr(const Graph& g, const std::string& path,
   GcsrHeader header;
   std::memcpy(header.magic, kMagic, sizeof kMagic);
   header.version = kGcsrVersion;
-  header.flags = deltas.empty() ? 0 : kFlagHasPresplit;
   header.num_nodes = n;
   header.num_arcs = arcs;
   header.weight_kind = kWeightKindF64;
-  header.section_count = static_cast<std::uint32_t>(table.size());
+  header.section_count = kGraphSections;
   header.section_table_off = table_off;
   header.min_weight = g.min_weight();
   header.max_weight = g.max_weight();
@@ -239,15 +199,14 @@ void write_gcsr(const Graph& g, const std::string& path,
   }
   write_all(f, path, &header, sizeof header);
   std::uint64_t cur = sizeof(GcsrHeader);
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
+  for (std::uint32_t i = 0; i < kGraphSections; ++i) {
     write_padding(f, path, cur, table[i].offset);
     write_all(f, path, payloads[i].data, payloads[i].length);
     cur = table[i].offset + table[i].length;
   }
   write_padding(f, path, cur, table_off);
-  const std::uint64_t table_bytes = table.size() * sizeof(SectionEntry);
-  write_all(f, path, table.data(), table_bytes);
-  const std::uint64_t table_ck = gcsr_checksum(table.data(), table_bytes);
+  write_all(f, path, table, sizeof table);
+  const std::uint64_t table_ck = gcsr_checksum(table, sizeof table);
   write_all(f, path, &table_ck, sizeof table_ck);
   f.close();
   if (f.fail()) {
@@ -257,126 +216,33 @@ void write_gcsr(const Graph& g, const std::string& path,
 
 // --- reader ----------------------------------------------------------------
 
-/// The mapped file: owns the mmap region and the validated section index.
-/// Immutable after open_mmap; shared by every Graph view into it.
-class GcsrFile {
+namespace {
+
+/// One read-only mmap region. The Graph views of a mapped file hold it as
+/// their backing keep-alive, so it is unmapped with the last of them.
+class Mapping {
  public:
-  GcsrFile(const std::string& p, const std::byte* base, std::size_t size)
-      : path(p), base_(base), size_(size) {}
-  GcsrFile(const GcsrFile&) = delete;
-  GcsrFile& operator=(const GcsrFile&) = delete;
-  ~GcsrFile() {
-    if (base_ != nullptr) {
-      ::munmap(const_cast<std::byte*>(base_), size_);
-    }
-  }
+  Mapping(const std::byte* base, std::size_t size) : base_(base), size_(size) {}
+  Mapping(const Mapping&) = delete;
+  Mapping& operator=(const Mapping&) = delete;
+  ~Mapping() { ::munmap(const_cast<std::byte*>(base_), size_); }
 
   [[nodiscard]] const std::byte* at(std::uint64_t off) const noexcept {
     return base_ + off;
   }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
-  std::string path;
-  GcsrHeader header;
-  std::vector<SectionEntry> sections;
-  std::vector<Weight> deltas;  // ascending; one triple of sections each
 
  private:
-  const std::byte* base_ = nullptr;
-  std::size_t size_ = 0;
+  const std::byte* base_;
+  std::size_t size_;
 };
 
-namespace {
-
-/// Shape of one section kind for a graph with n nodes and `arcs` arcs.
-std::uint64_t expected_length(std::uint32_t kind, std::uint64_t n,
-                              std::uint64_t arcs) {
-  switch (kind) {
-    case kSecOffsets: return (n + 1) * sizeof(EdgeIndex);
-    case kSecTargets: return arcs * sizeof(NodeId);
-    case kSecWeights: return arcs * sizeof(Weight);
-    case kSecPresplitSplit: return n * sizeof(EdgeIndex);
-    case kSecPresplitTargets: return arcs * sizeof(NodeId);
-    case kSecPresplitWeights: return arcs * sizeof(Weight);
-    default: return ~std::uint64_t{0};
-  }
-}
-
 template <typename T>
-std::span<const T> section_span(const GcsrFile& f, const SectionEntry& e) {
+std::span<const T> section_span(const Mapping& f, const SectionEntry& e) {
   return {reinterpret_cast<const T*>(f.at(e.offset)),
           static_cast<std::size_t>(e.length / sizeof(T))};
 }
 
 }  // namespace
-
-std::uint64_t MappedGraph::fingerprint() const noexcept {
-  return file_ != nullptr ? file_->header.fingerprint : 0;
-}
-
-const std::vector<Weight>& MappedGraph::presplit_deltas() const noexcept {
-  static const std::vector<Weight> kEmpty;
-  return file_ != nullptr ? file_->deltas : kEmpty;
-}
-
-std::size_t MappedGraph::file_bytes() const noexcept {
-  return file_ != nullptr ? file_->size() : 0;
-}
-
-bool MappedGraph::covers(const Graph& g) const noexcept {
-  if (file_ == nullptr) return false;
-  return g.offsets().data() == graph_.offsets().data() &&
-         g.offsets().size() == graph_.offsets().size() &&
-         g.targets().data() == graph_.targets().data() &&
-         g.targets().size() == graph_.targets().size() &&
-         g.edge_weights().data() == graph_.edge_weights().data() &&
-         g.edge_weights().size() == graph_.edge_weights().size();
-}
-
-bool MappedGraph::load_presplit(Weight delta, CsrSplit& out) const {
-  if (file_ == nullptr) return false;
-  const GcsrFile& f = *file_;
-  // Find the sidecar triple for this exact Δ.
-  const SectionEntry* split_e = nullptr;
-  const SectionEntry* targets_e = nullptr;
-  const SectionEntry* weights_e = nullptr;
-  for (const SectionEntry& e : f.sections) {
-    if (e.kind == kSecPresplitSplit && e.delta == delta) split_e = &e;
-    if (e.kind == kSecPresplitTargets && e.delta == delta) targets_e = &e;
-    if (e.kind == kSecPresplitWeights && e.delta == delta) weights_e = &e;
-  }
-  if (split_e == nullptr) return false;
-  // open_mmap validated triples arrive complete; keep the invariant local.
-  if (targets_e == nullptr || weights_e == nullptr) {
-    fail(BinfmtErrc::kBadSection, f.path + ": incomplete presplit sidecar");
-  }
-  const auto split = section_span<EdgeIndex>(f, *split_e);
-  const auto targets = section_span<NodeId>(f, *targets_e);
-  const auto weights = section_span<Weight>(f, *weights_e);
-  // Bounds-validate the split offsets against the graph's CSR: split[u]
-  // must lie inside u's segment, or a kernel indexing through it would walk
-  // out of the adjacency. Checksums catch corruption; this catches a buggy
-  // or adversarial writer.
-  const auto offsets = graph_.offsets();
-  const NodeId n = graph_.num_nodes();
-  if (split.size() != n || targets.size() != graph_.targets().size() ||
-      weights.size() != graph_.edge_weights().size()) {
-    fail(BinfmtErrc::kBadSection, f.path + ": presplit sidecar shape");
-  }
-  bool ok = true;
-#pragma omp parallel for schedule(static) reduction(&& : ok)
-  for (NodeId u = 0; u < n; ++u) {
-    ok = ok && split[u] >= offsets[u] && split[u] <= offsets[u + 1];
-  }
-  if (!ok) {
-    fail(BinfmtErrc::kBadPresplit,
-         f.path + ": presplit split offsets out of CSR bounds");
-  }
-  out.split.assign(split.begin(), split.end());
-  out.targets.assign(targets.begin(), targets.end());
-  out.weights.assign(weights.begin(), weights.end());
-  return true;
-}
 
 MappedGraph open_mmap(const std::string& path, const GcsrOpenOptions& opts) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -400,10 +266,10 @@ MappedGraph open_mmap(const std::string& path, const GcsrOpenOptions& opts) {
   if (map == MAP_FAILED) {
     fail(BinfmtErrc::kIoError, path + ": mmap: " + std::strerror(errno));
   }
-  auto file = std::make_shared<GcsrFile>(
-      path, static_cast<const std::byte*>(map), size);
+  const auto file =
+      std::make_shared<const Mapping>(static_cast<const std::byte*>(map), size);
 
-  GcsrHeader& h = file->header;
+  GcsrHeader h;
   std::memcpy(&h, file->at(0), sizeof h);
   if (std::memcmp(h.magic, kMagic, sizeof kMagic) != 0) {
     fail(BinfmtErrc::kBadMagic, path + ": not a .gcsr file");
@@ -425,7 +291,7 @@ MappedGraph open_mmap(const std::string& path, const GcsrOpenOptions& opts) {
   if (h.num_nodes > std::uint64_t{kInvalidNode} - 1) {
     fail(BinfmtErrc::kBadHeader, path + ": node count exceeds NodeId range");
   }
-  if (h.section_count < 3) {
+  if (h.section_count < kGraphSections) {
     fail(BinfmtErrc::kBadHeader, path + ": fewer than 3 sections");
   }
   const std::uint64_t table_bytes =
@@ -436,24 +302,28 @@ MappedGraph open_mmap(const std::string& path, const GcsrOpenOptions& opts) {
     fail(BinfmtErrc::kTruncated,
          path + ": section table extends past end of file");
   }
-  file->sections.resize(h.section_count);
-  std::memcpy(file->sections.data(), file->at(h.section_table_off),
-              table_bytes);
   std::uint64_t table_ck = 0;
   std::memcpy(&table_ck, file->at(h.section_table_off + table_bytes),
               sizeof table_ck);
-  if (gcsr_checksum(file->sections.data(), table_bytes) != table_ck) {
+  if (gcsr_checksum(file->at(h.section_table_off), table_bytes) != table_ck) {
     fail(BinfmtErrc::kChecksumMismatch,
          path + ": section table checksum mismatch");
   }
 
-  // Structural validation of the section index.
+  // Structural validation of the graph sections, which lead the table in
+  // CSR order. Entries after them (the presplit layouts earlier builds
+  // persisted) are covered by the table checksum and otherwise ignored.
   const std::uint64_t n = h.num_nodes;
   const std::uint64_t arcs = h.num_arcs;
-  const std::uint32_t graph_kinds[3] = {kSecOffsets, kSecTargets,
-                                        kSecWeights};
-  for (std::size_t i = 0; i < file->sections.size(); ++i) {
-    const SectionEntry& e = file->sections[i];
+  const std::uint32_t kinds[kGraphSections] = {kSecOffsets, kSecTargets,
+                                               kSecWeights};
+  const std::uint64_t lengths[kGraphSections] = {
+      (n + 1) * sizeof(EdgeIndex), arcs * sizeof(NodeId),
+      arcs * sizeof(Weight)};
+  SectionEntry sections[kGraphSections];
+  std::memcpy(sections, file->at(h.section_table_off), sizeof sections);
+  for (std::uint32_t i = 0; i < kGraphSections; ++i) {
+    const SectionEntry& e = sections[i];
     if (e.offset % kAlign != 0) {
       fail(BinfmtErrc::kMisalignedSection,
            path + ": section " + std::to_string(i) + " at offset " +
@@ -465,84 +335,44 @@ MappedGraph open_mmap(const std::string& path, const GcsrOpenOptions& opts) {
       fail(BinfmtErrc::kTruncated,
            path + ": section " + std::to_string(i) + " out of bounds");
     }
-    if (e.length != expected_length(e.kind, n, arcs)) {
+    if (e.kind != kinds[i]) {
+      fail(BinfmtErrc::kBadSection,
+           path + ": graph sections must lead the file in CSR order");
+    }
+    if (e.length != lengths[i]) {
       fail(BinfmtErrc::kBadSection,
            path + ": section " + std::to_string(i) + " (kind " +
                std::to_string(e.kind) + ") has the wrong length");
     }
-    if (i < 3 && e.kind != graph_kinds[i]) {
-      fail(BinfmtErrc::kBadSection,
-           path + ": graph sections must lead the file in CSR order");
+    if (opts.verify_checksums &&
+        gcsr_checksum(file->at(e.offset), e.length) != e.checksum) {
+      fail(BinfmtErrc::kChecksumMismatch,
+           path + ": section " + std::to_string(i) + " (kind " +
+               std::to_string(e.kind) + ") checksum mismatch");
     }
   }
-  // Presplit sidecars arrive as (split, targets, weights) triples with one
-  // Δ each, strictly ascending.
-  if ((file->sections.size() - 3) % 3 != 0) {
-    fail(BinfmtErrc::kBadSection, path + ": dangling presplit sections");
-  }
-  for (std::size_t i = 3; i < file->sections.size(); i += 3) {
-    const SectionEntry& a = file->sections[i];
-    const SectionEntry& b = file->sections[i + 1];
-    const SectionEntry& c = file->sections[i + 2];
-    if (a.kind != kSecPresplitSplit || b.kind != kSecPresplitTargets ||
-        c.kind != kSecPresplitWeights || a.delta != b.delta ||
-        a.delta != c.delta || !std::isfinite(a.delta)) {
-      fail(BinfmtErrc::kBadSection, path + ": malformed presplit sidecar");
-    }
-    if (!file->deltas.empty() && !(a.delta > file->deltas.back())) {
-      fail(BinfmtErrc::kBadSection,
-           path + ": presplit deltas not strictly ascending");
-    }
-    file->deltas.push_back(a.delta);
-  }
-
-  if (opts.verify_checksums) {
-    for (std::size_t i = 0; i < file->sections.size(); ++i) {
-      const SectionEntry& e = file->sections[i];
-      if (gcsr_checksum(file->at(e.offset), e.length) != e.checksum) {
-        fail(BinfmtErrc::kChecksumMismatch,
-             path + ": section " + std::to_string(i) + " (kind " +
-                 std::to_string(e.kind) + ") checksum mismatch");
-      }
-    }
-  }
-  if (fingerprint_of(n, arcs, file->sections[0].checksum,
-                     file->sections[1].checksum,
-                     file->sections[2].checksum) != h.fingerprint) {
+  if (fingerprint_of(n, arcs, sections[0].checksum, sections[1].checksum,
+                     sections[2].checksum) != h.fingerprint) {
     fail(BinfmtErrc::kBadHeader, path + ": graph fingerprint mismatch");
   }
 
-  const auto offsets = section_span<EdgeIndex>(*file, file->sections[0]);
-  const auto targets = section_span<NodeId>(*file, file->sections[1]);
-  const auto weights = section_span<Weight>(*file, file->sections[2]);
+  const auto offsets = section_span<EdgeIndex>(*file, sections[0]);
+  const auto targets = section_span<NodeId>(*file, sections[1]);
+  const auto weights = section_span<Weight>(*file, sections[2]);
   if (offsets.empty() || offsets.front() != 0 || offsets.back() != arcs) {
     fail(BinfmtErrc::kBadSection, path + ": offsets array inconsistent");
   }
   MappedGraph out;
-  out.file_ = file;
   out.graph_ = Graph(offsets, targets, weights, file, h.min_weight,
                      h.max_weight, h.avg_weight);
+  out.fingerprint_ = h.fingerprint;
+  out.file_bytes_ = size;
   if (opts.verify_checksums && !out.graph_.validate()) {
     // Checksums match what the writer wrote, but the writer wrote a CSR
     // that violates the Graph invariants (unsorted offsets, out-of-range
     // targets, non-positive weights).
     fail(BinfmtErrc::kBadSection, path + ": mapped CSR fails validation");
   }
-  return out;
-}
-
-std::optional<MappedGraph> mapped_view(const Graph& g) {
-  if (!g.is_mapped()) return std::nullopt;
-  auto file = std::static_pointer_cast<const GcsrFile>(g.backing());
-  const GcsrHeader& h = file->header;
-  MappedGraph out;
-  out.file_ = file;
-  // Rebind the canonical full-graph view from the (already validated)
-  // section index, so covers() checks against the file, not against `g`.
-  out.graph_ = Graph(section_span<EdgeIndex>(*file, file->sections[0]),
-                     section_span<NodeId>(*file, file->sections[1]),
-                     section_span<Weight>(*file, file->sections[2]), file,
-                     h.min_weight, h.max_weight, h.avg_weight);
   return out;
 }
 

@@ -1,26 +1,21 @@
 #pragma once
 // The versioned on-disk binary CSR format (.gcsr) — DESIGN.md §14.
 //
-// A .gcsr file is the mmap-ready image of one gdiam::Graph plus optional
-// per-Δ presplit sidecars:
+// A .gcsr file is the mmap-ready image of one gdiam::Graph:
 //
 //   [  0, 128)  GcsrHeader: magic "gdiamCSR", format version, flags, n,
 //               arc count, weight kind, persisted weight stats (so opening
 //               never scans the weights section), graph fingerprint, and a
 //               checksum over the header bytes themselves.
-//   [128, ...)  section payloads, each padded to a 64-byte boundary so the
-//               mapped pointers are aligned for every element type (and for
-//               cache-line-clean kernel scans):
-//                 offsets  (n+1) × u64   |
-//                 targets   2m  × u32    |- the Graph's CSR arrays
-//                 weights   2m  × f64    |
-//               and, per persisted Δ (sorted ascending):
-//                 presplit_split    n  × u64   first-heavy index per node
-//                 presplit_targets  2m × u32   light-first permutation
-//                 presplit_weights  2m × f64   (aligned with targets)
-//   [table]     SectionEntry[section_count]: kind, byte offset/length, an
-//               FNV-1a checksum of the payload, and the Δ for sidecar
-//               sections; followed by a u64 checksum of the table bytes.
+//   [128, ...)  the three section payloads, each padded to a 64-byte
+//               boundary so the mapped pointers are aligned for every
+//               element type (and for cache-line-clean kernel scans):
+//                 offsets  (n+1) × u64
+//                 targets   2m  × u32
+//                 weights   2m  × f64
+//   [table]     SectionEntry[section_count]: kind, byte offset/length and an
+//               FNV-1a checksum of the payload; followed by a u64 checksum
+//               of the table bytes.
 //
 // All integers are little-endian host-width PODs — the format is an image
 // of the in-memory layout, not an interchange format (use DIMACS / edge
@@ -31,23 +26,17 @@
 // failure throws BinfmtError with a typed code; a corrupt or torn file can
 // never produce a Graph.
 //
-// The presplit sidecars exist because a Δ-stepping server cold-start
-// otherwise pays the O(m) light/heavy reorder per (graph, Δ) before the
-// first query (Meyer–Sanders cost model; DESIGN.md §6):
-// exec::Context::adopt_presplits() installs them into the layout cache
-// after validation, so a restarted gdiamd serves its first query from the
-// same layouts the previous process computed.
+// Files written by earlier builds may carry further table entries after the
+// three graph sections (persisted Δ-presplit layouts, since removed). The
+// table checksum covers them; the reader ignores them otherwise, so such a
+// file opens as the same graph with the same fingerprint.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/split_csr.hpp"
 
 namespace gdiam::io {
 
@@ -66,8 +55,6 @@ enum class BinfmtErrc {
   kBadSection,        // section table inconsistent (kind/bounds/shape)
   kChecksumMismatch,  // a payload or table checksum does not match
   kBadWeightKind,     // weight encoding this build does not understand
-  kBadPresplit,       // sidecar passed checksums but violates CSR bounds
-  kFingerprintMismatch,  // sidecar adoption against a different graph
 };
 
 [[nodiscard]] const char* to_string(BinfmtErrc code) noexcept;
@@ -88,19 +75,11 @@ class BinfmtError : public std::runtime_error {
 [[nodiscard]] std::uint64_t gcsr_checksum(const void* data,
                                           std::size_t len) noexcept;
 
-struct GcsrWriteOptions {
-  /// Δ values whose presplit layout is persisted as sidecar sections.
-  /// Deduplicated and sorted ascending by the writer; the file records the
-  /// exact double, and adoption matches it bit-for-bit.
-  std::vector<Weight> presplit_deltas;
-};
-
 /// Writes `g` as a .gcsr file at `path`. Throws BinfmtError{kIoError} on
 /// any write failure (fault point "io.write": errno and short-write faults
 /// fail the write with the typed error; a torn run leaves a file that
 /// open_mmap rejects as truncated, never a half-valid graph).
-void write_gcsr(const Graph& g, const std::string& path,
-                const GcsrWriteOptions& opts = {});
+void write_gcsr(const Graph& g, const std::string& path);
 
 struct GcsrOpenOptions {
   /// Verify every section payload checksum at open (one sequential read of
@@ -110,9 +89,9 @@ struct GcsrOpenOptions {
   bool verify_checksums = true;
 };
 
-/// A mapped .gcsr file: the zero-copy Graph view plus the sidecar index.
-/// Copies share the mapping (shared_ptr semantics); the mapping lives until
-/// the last copy of this object *and* of graph() dies.
+/// A mapped .gcsr file: the zero-copy Graph view plus the file's identity.
+/// Copies share the mapping; it lives until the last copy of this object
+/// *and* of graph() dies.
 class MappedGraph {
  public:
   MappedGraph() = default;
@@ -123,39 +102,21 @@ class MappedGraph {
 
   /// The header's graph fingerprint: a pure function of (n, arcs, offsets/
   /// targets/weights checksums). Two files of the same graph agree on it.
-  [[nodiscard]] std::uint64_t fingerprint() const noexcept;
+  [[nodiscard]] std::uint64_t fingerprint() const noexcept {
+    return fingerprint_;
+  }
 
-  /// Δ values with persisted presplit sidecars, ascending.
-  [[nodiscard]] const std::vector<Weight>& presplit_deltas() const noexcept;
-
-  /// Loads the sidecar for `delta` (exact bit match) into `out`. Returns
-  /// false when the file has no sidecar for that Δ. Bounds-validates the
-  /// split offsets against the graph's CSR before returning; a sidecar that
-  /// passed its checksum but violates them throws BinfmtError{kBadPresplit}.
-  [[nodiscard]] bool load_presplit(Weight delta, CsrSplit& out) const;
-
-  /// True when `g` is a view into this mapping with this file's shape —
-  /// the precondition for adopting sidecars for it.
-  [[nodiscard]] bool covers(const Graph& g) const noexcept;
-
-  [[nodiscard]] std::size_t file_bytes() const noexcept;
+  [[nodiscard]] std::size_t file_bytes() const noexcept { return file_bytes_; }
 
  private:
   friend MappedGraph open_mmap(const std::string&, const GcsrOpenOptions&);
-  friend std::optional<MappedGraph> mapped_view(const Graph&);
-  std::shared_ptr<const class GcsrFile> file_;
   Graph graph_;
+  std::uint64_t fingerprint_ = 0;
+  std::size_t file_bytes_ = 0;
 };
 
 /// Maps `path` and validates it (see class comment). Throws BinfmtError.
 [[nodiscard]] MappedGraph open_mmap(const std::string& path,
                                     const GcsrOpenOptions& opts = {});
-
-/// Rebuilds the MappedGraph view (sidecar index included) of a Graph whose
-/// storage is an open_mmap mapping, from its backing keep-alive — no file
-/// access, no re-validation. Returns nullopt for owned graphs. Pre: a
-/// non-null Graph backing always comes from open_mmap; binfmt is the only
-/// producer of mapped graphs in the library.
-[[nodiscard]] std::optional<MappedGraph> mapped_view(const Graph& g);
 
 }  // namespace gdiam::io

@@ -142,12 +142,6 @@ class Graph {
   /// .gcsr file) rather than owned vectors.
   [[nodiscard]] bool is_mapped() const noexcept { return backing_ != nullptr; }
 
-  /// The keep-alive of a mapped graph (null for owned graphs). Lets callers
-  /// check that two Graphs view the same mapping.
-  [[nodiscard]] const std::shared_ptr<const void>& backing() const noexcept {
-    return backing_;
-  }
-
   /// True when both directions of every arc are present with equal weight
   /// and there are no self-loops — the invariant GraphBuilder establishes.
   [[nodiscard]] bool is_symmetric() const;

@@ -59,14 +59,6 @@ class SplitCsr {
         data_(presplit_csr(g.offsets(), g.targets(), g.edge_weights(),
                            delta)) {}
 
-  /// Adopts a prebuilt split (the persisted-presplit path, graph/binfmt.hpp:
-  /// `data` was loaded from a .gcsr sidecar instead of computed). The caller
-  /// vouches that `data` is exactly presplit_csr(g, delta) — exec::Context
-  /// bounds-checks on adoption and the binfmt round-trip tests pin the
-  /// bit-identity.
-  SplitCsr(const Graph& g, Weight delta, CsrSplit data)
-      : g_(&g), delta_(delta), data_(std::move(data)) {}
-
   [[nodiscard]] bool empty() const noexcept { return g_ == nullptr; }
   [[nodiscard]] Weight delta() const noexcept { return delta_; }
 

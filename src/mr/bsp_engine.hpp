@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 
 #include <omp.h>
@@ -53,8 +54,8 @@ namespace gdiam::mr {
 ///            (presplit layout, blocked sets). Bump it on mutation and the
 ///            pool re-snapshots the workers.
 ///
-/// Algorithms that don't supply a codec still run correctly under a pool —
-/// the transport falls back to respawning workers every superstep.
+/// Required under a remote transport: superstep() throws std::logic_error
+/// when remote_compute() holds and no codec is given.
 struct StepInputCodec {
   std::function<void(ShardId, std::vector<std::byte>&)> encode;
   std::function<void(ShardId, const std::byte*, std::size_t)> decode;
@@ -101,14 +102,19 @@ class BspEngine {
   /// `shard_counters` (empty or one slot per shard, slot s written only by
   /// shard s's compute) travels with the messages under a remote transport,
   /// so per-shard compute tallies survive the process boundary.
-  /// `input` (optional) is the resident-worker codec: under PoolTransport
-  /// it ships per-superstep inputs to the frozen workers; other transports
-  /// ignore it entirely.
+  /// `input` is the resident-worker codec: under PoolTransport it ships
+  /// per-superstep inputs to the frozen workers and must be given (a null
+  /// codec throws std::logic_error before any worker is forked); the local
+  /// transport ignores it.
   template <typename Msg, typename ComputeFn, typename ApplyFn>
   ExchangeCounters superstep(Exchange<Msg>& ex, ComputeFn&& compute,
                              ApplyFn&& apply, RoundStats* stats = nullptr,
                              std::span<std::uint64_t> shard_counters = {},
                              const StepInputCodec* input = nullptr) {
+    if (input == nullptr && remote_compute()) {
+      throw std::logic_error(
+          "BspEngine::superstep: a remote transport needs a StepInputCodec");
+    }
     const auto k = static_cast<std::int64_t>(partition_.num_partitions());
 
     // Phase 1: local compute, one thread or worker process per shard

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <cstring>
 #include <numeric>
@@ -167,9 +168,7 @@ void PoolTransport::worker_main(std::uint32_t p, int fd,
         if (!net::read_u64(fd, len)) ::_exit(5);
         input.resize(len);
         if (len != 0 && !net::read_exact(fd, input.data(), len)) ::_exit(5);
-        if (len != 0 && plan.decode_input) {
-          plan.decode_input(s, input.data(), len);
-        }
+        if (len != 0) plan.decode_input(s, input.data(), len);
         if (plan.reset_row) plan.reset_row(s);
       }
       for (const ShardId s : shards) plan.compute(s);
@@ -206,7 +205,7 @@ bool PoolTransport::send_step(const Worker& w, std::uint32_t p,
   std::vector<std::byte> input;
   for (const ShardId s : launcher_.shards_of(p)) {
     input.clear();
-    if (plan.encode_input) plan.encode_input(s, input);
+    plan.encode_input(s, input);
     net::append_u64(frame, input.size());
     frame.insert(frame.end(), input.begin(), input.end());
   }
@@ -252,16 +251,13 @@ bool PoolTransport::recv_step(const Worker& w, std::uint32_t p,
 }
 
 TransportStats PoolTransport::run_compute(const SuperstepPlan& plan) {
+  assert(plan.encode_input && plan.decode_input);
   const std::uint32_t procs = launcher_.processes();
-  const bool has_codec =
-      plan.encode_input != nullptr && plan.decode_input != nullptr;
 
   try {
-    // Residency gate. No codec ⇒ the frozen closures cannot receive fresh
-    // inputs, so degrade to respawn-per-superstep (still correct: every
-    // respawn re-snapshots the coordinator). An epoch change ⇒ the resident state the
-    // closures read beyond the inputs has mutated ⇒ re-snapshot.
-    if (!alive_ || !has_codec || epoch_ != plan.resident_epoch) {
+    // Residency gate: an epoch change means the resident state the frozen
+    // closures read beyond the shipped inputs has mutated ⇒ re-snapshot.
+    if (!alive_ || epoch_ != plan.resident_epoch) {
       shutdown();
       for (std::uint32_t p = 0; p < procs; ++p) spawn_worker(p, plan);
       alive_ = true;

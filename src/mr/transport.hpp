@@ -46,8 +46,8 @@
 //         resident_epoch and the pool quits + respawns the workers,
 //         re-snapshotting the coordinator.
 //
-//     A plan without an input codec degrades safely: the pool respawns the
-//     workers every superstep, re-snapshotting the coordinator each time.
+//     Every plan the pool runs carries the codec; BspEngine::superstep
+//     refuses a codec-less superstep under a remote transport.
 //     Worker crashes are survivable for the same reason residency is
 //     correct at all: under the remote-compute contract a superstep's rows
 //     are a pure function of (resident layout, shipped inputs), so the
@@ -170,12 +170,12 @@ class Transport {
 
     /// Coordinator side: serializes shard `s`'s per-superstep input (the
     /// state compute reads that changes between supersteps — frontier
-    /// buckets, active senders). Null ⇒ no codec ⇒ the pool falls back to
-    /// respawn-per-superstep.
+    /// buckets, active senders). Required by PoolTransport.
     std::function<void(ShardId, std::vector<std::byte>&)> encode_input;
     /// Worker side: installs a shipped input into stable-address storage
     /// before compute runs. This closure is frozen at fork time — it must
     /// only write through pointers/references that were valid at the fork.
+    /// Required by PoolTransport.
     std::function<void(ShardId, const std::byte*, std::size_t)> decode_input;
     /// Worker side: drops shard `s`'s stale exchange staging from the
     /// previous superstep (Exchange::clear_row). The engine supplies this;
@@ -222,7 +222,6 @@ class LocalTransport final : public Transport {
 ///
 /// Wire protocol (host order, framed with util::net helpers):
 ///   coordinator → worker   'S' then per owned shard [u64 len][input bytes]
-///                          (len 0 when the plan has no codec)
 ///   worker → coordinator   [u64 status] then, when status == 0, per owned
 ///                          shard [u64 row_len][row][u64 shard counter]
 ///   coordinator → worker   'Q' (or EOF) — worker _exits 0
@@ -246,6 +245,7 @@ class PoolTransport final : public Transport {
     return launcher_.processes();
   }
   [[nodiscard]] const Launcher& launcher() const noexcept { return launcher_; }
+  /// Pre: the plan carries encode_input and decode_input.
   TransportStats run_compute(const SuperstepPlan& plan) override;
 
   /// Quits and reaps every worker (bounded wait, SIGKILL escalation).

@@ -81,8 +81,7 @@ Graph load_file(const std::string& path) {
   if (path.ends_with(".gr")) return io::read_dimacs_file(path);
   if (path.ends_with(".bin")) return io::read_binary_file(path);
   // Zero-copy mmap ingest; the returned Graph shares (and keeps alive) the
-  // mapping. GraphStore::get() adopts any persisted presplit sidecars into
-  // the entry's context after the graph lands in its final slot.
+  // mapping.
   if (path.ends_with(".gcsr")) return io::open_mmap(path).graph();
   return io::read_edge_list_file(path);
 }
@@ -156,12 +155,6 @@ GraphStore::Entry& GraphStore::get(const std::string& spec) {
     }
     e->graph = make_graph(spec);  // a throw leaves the entry retryable
     e->loaded = true;
-    // Cold-start warming: a .gcsr graph carries its presplit layouts; adopt
-    // them into the entry's context now that the graph sits at its final
-    // address (the split cache keys on it). All-or-nothing inside.
-    if (const auto m = io::mapped_view(e->graph)) {
-      e->ctx.adopt_presplits(e->graph, *m);
-    }
     const std::lock_guard<std::mutex> lk(mu_);
     order_.push_back(e);
   }

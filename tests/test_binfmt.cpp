@@ -2,14 +2,13 @@
 //
 // Three layers of guarantees, each pinned here:
 //
-//   1. Round-trip properties — for every test family, the mapped CSR arrays,
-//      the persisted weight stats and every presplit sidecar are bit-
-//      identical to the in-memory originals (not approximately: memcmp).
-//   2. Warm-path semantics — exec::Context::adopt_presplits is all-or-
-//      nothing, fingerprint-guarded, and produces splits indistinguishable
-//      from freshly computed ones; end-to-end estimate/SSSP runs on a mapped
-//      graph are bit-identical to runs on a text-ingested copy across every
-//      transport and partition count.
+//   1. Round-trip properties — for every test family, the mapped CSR arrays
+//      and the persisted weight stats are bit-identical to the in-memory
+//      originals (not approximately: memcmp); a file an earlier build wrote
+//      with trailing presplit sections opens as the same graph.
+//   2. End-to-end parity — estimate/SSSP runs on a mapped graph are
+//      bit-identical to runs on a text-ingested copy across every transport
+//      and partition count.
 //   3. Corruption rejection — a .gcsr that is truncated, bit-flipped,
 //      version-bumped, misaligned or torn by an injected write fault is
 //      rejected with the contracted typed BinfmtErrc, never a crash and
@@ -47,6 +46,7 @@ namespace {
 constexpr std::size_t kHeaderSize = 128;
 constexpr std::size_t kHeaderChecksumOff = 120;  // u64, over bytes [0, 120)
 constexpr std::size_t kVersionOff = 8;           // u32
+constexpr std::size_t kFlagsOff = 12;            // u32
 constexpr std::size_t kNumNodesOff = 16;         // u64
 constexpr std::size_t kWeightKindOff = 32;       // u32
 constexpr std::size_t kSectionCountOff = 36;     // u32
@@ -56,6 +56,7 @@ constexpr std::size_t kEntryKindOff = 0;      // u32
 constexpr std::size_t kEntryOffsetOff = 8;    // u64
 constexpr std::size_t kEntryLengthOff = 16;   // u64
 constexpr std::size_t kEntryChecksumOff = 24; // u64
+constexpr std::size_t kEntryDeltaOff = 32;    // f64, presplit entries only
 
 // --- fixture ---------------------------------------------------------------
 
@@ -145,10 +146,53 @@ bool same_csr(const Graph& a, const Graph& b) {
          bits_equal(a.edge_weights(), b.edge_weights());
 }
 
-bool same_split(const CsrSplit& a, const CsrSplit& b) {
-  return bits_equal<EdgeIndex>(a.split, b.split) &&
-         bits_equal<NodeId>(a.targets, b.targets) &&
-         bits_equal<Weight>(a.weights, b.weights);
+/// Rewrites the plain image `plain` of `g` the way earlier builds laid out
+/// a file persisting the presplit layout for `delta`: the (split, targets,
+/// weights) payloads after the graph sections, table entries of kinds 4–6
+/// carrying the Δ, section_count 6 and the has-presplit flag, with the
+/// header and table checksums re-stamped.
+std::vector<unsigned char> with_legacy_sidecar(
+    const std::vector<unsigned char>& plain, const Graph& g, Weight delta) {
+  const auto toff = rd<std::uint64_t>(plain, kTableOffOff);
+  std::vector<unsigned char> b(plain.begin(),
+                               plain.begin() + static_cast<std::ptrdiff_t>(toff));
+  const auto pad = [&b] { b.resize((b.size() + 63) / 64 * 64, 0); };
+  const CsrSplit split = presplit_csr(g.offsets(), g.targets(),
+                                      g.edge_weights(), delta);
+  struct Payload {
+    std::uint32_t kind;
+    const void* data;
+    std::size_t length;
+  };
+  const Payload payloads[3] = {
+      {4, split.split.data(), split.split.size() * sizeof(EdgeIndex)},
+      {5, split.targets.data(), split.targets.size() * sizeof(NodeId)},
+      {6, split.weights.data(), split.weights.size() * sizeof(Weight)}};
+  std::vector<unsigned char> entries(3 * kEntrySize, 0);
+  for (std::size_t i = 0; i < 3; ++i) {
+    pad();
+    const std::size_t e = i * kEntrySize;
+    wr<std::uint32_t>(entries, e + kEntryKindOff, payloads[i].kind);
+    wr<std::uint64_t>(entries, e + kEntryOffsetOff, b.size());
+    wr<std::uint64_t>(entries, e + kEntryLengthOff, payloads[i].length);
+    wr<std::uint64_t>(entries, e + kEntryChecksumOff,
+                      gcsr_checksum(payloads[i].data, payloads[i].length));
+    wr<double>(entries, e + kEntryDeltaOff, delta);
+    const auto* p = static_cast<const unsigned char*>(payloads[i].data);
+    b.insert(b.end(), p, p + payloads[i].length);
+  }
+  pad();
+  const std::size_t new_toff = b.size();
+  b.insert(b.end(), plain.begin() + static_cast<std::ptrdiff_t>(toff),
+           plain.begin() + static_cast<std::ptrdiff_t>(toff + 3 * kEntrySize));
+  b.insert(b.end(), entries.begin(), entries.end());
+  b.resize(b.size() + sizeof(std::uint64_t), 0);  // table checksum slot
+  wr<std::uint32_t>(b, kFlagsOff, 1);
+  wr<std::uint32_t>(b, kSectionCountOff, 6);
+  wr<std::uint64_t>(b, kTableOffOff, new_toff);
+  restamp_header(b);
+  restamp_table(b);
+  return b;
 }
 
 /// Writes g as a full-precision edge list ("%.17g" round-trips every double
@@ -179,8 +223,7 @@ TEST_F(BinfmtTest, RoundTripIsBitIdenticalForEveryFamily) {
     const Graph g = test::make_family(f, 120, 42 + i);
     const std::string p = path(std::string("rt_") + test::family_name(f) +
                                ".gcsr");
-    // Unsorted with a duplicate: the writer sorts and dedups.
-    write_gcsr(g, p, {.presplit_deltas = {0.5, 0.05, 0.5}});
+    write_gcsr(g, p);
 
     const MappedGraph m = open_mmap(p);
     const Graph& h = m.graph();
@@ -192,17 +235,6 @@ TEST_F(BinfmtTest, RoundTripIsBitIdenticalForEveryFamily) {
     EXPECT_EQ(h.min_weight(), g.min_weight());
     EXPECT_EQ(h.max_weight(), g.max_weight());
     EXPECT_EQ(h.avg_weight(), g.avg_weight());
-
-    EXPECT_EQ(m.presplit_deltas(), (std::vector<Weight>{0.05, 0.5}));
-    for (const Weight delta : m.presplit_deltas()) {
-      CsrSplit loaded;
-      ASSERT_TRUE(m.load_presplit(delta, loaded));
-      const CsrSplit fresh = presplit_csr(g.offsets(), g.targets(),
-                                          g.edge_weights(), delta);
-      EXPECT_TRUE(same_split(loaded, fresh)) << "delta=" << delta;
-    }
-    CsrSplit missing;
-    EXPECT_FALSE(m.load_presplit(0.123, missing));
     ++i;
   }
 }
@@ -212,14 +244,11 @@ TEST_F(BinfmtTest, RoundTripsDegenerateGraphs) {
     SCOPED_TRACE(n);
     const Graph g = build_graph(n, {});  // no edges at all
     const std::string p = path("tiny_" + std::to_string(n) + ".gcsr");
-    write_gcsr(g, p, {.presplit_deltas = {1.0}});
+    write_gcsr(g, p);
     const MappedGraph m = open_mmap(p);
     EXPECT_EQ(m.graph().num_nodes(), n);
     EXPECT_EQ(m.graph().num_directed_edges(), 0u);
     EXPECT_TRUE(same_csr(g, m.graph()));
-    CsrSplit s;
-    ASSERT_TRUE(m.load_presplit(1.0, s));
-    EXPECT_EQ(s.split.size(), n);
   }
 }
 
@@ -228,7 +257,7 @@ TEST_F(BinfmtTest, FingerprintIsAFunctionOfTheGraphAlone) {
   const std::string a = path("fp_a.gcsr");
   const std::string b = path("fp_b.gcsr");
   write_gcsr(g, a);
-  write_gcsr(g, b, {.presplit_deltas = {0.25}});  // sidecars don't change it
+  write_gcsr(g, b);
   EXPECT_EQ(open_mmap(a).fingerprint(), open_mmap(b).fingerprint());
 
   const Graph other = test::make_family(test::Family::kGnmUniform, 100, 8);
@@ -251,95 +280,36 @@ TEST_F(BinfmtTest, MappingOutlivesTheMappedGraphObject) {
   EXPECT_TRUE(g.validate());
 }
 
-TEST_F(BinfmtTest, RejectsNonFinitePresplitDeltas) {
-  const Graph g = build_graph(2, {{0, 1, 1.0}});
-  const std::string p = path("baddelta.gcsr");
-  try {
-    write_gcsr(g, p, {.presplit_deltas = {-1.0}});
-    FAIL() << "negative delta accepted";
-  } catch (const BinfmtError& e) {
-    EXPECT_EQ(e.code(), BinfmtErrc::kBadPresplit);
-  }
+TEST_F(BinfmtTest, OpensFilesWithLegacyPresplitSections) {
+  const Graph g = test::make_family(test::Family::kGnmUniform, 150, 11);
+  const std::string plain = path("legacy_plain.gcsr");
+  const std::string legacy = path("legacy_sidecar.gcsr");
+  write_gcsr(g, plain);
+  const auto plain_bytes = slurp(plain);
+  const auto legacy_bytes = with_legacy_sidecar(plain_bytes, g, 0.1);
+  dump(legacy, legacy_bytes);
+  ASSERT_GT(legacy_bytes.size(), plain_bytes.size());
+
+  // The trailing entries are ignored: same CSR, stats and fingerprint.
+  const MappedGraph m = open_mmap(legacy);
+  EXPECT_TRUE(same_csr(g, m.graph()));
+  EXPECT_EQ(m.graph().avg_weight(), g.avg_weight());
+  EXPECT_EQ(m.fingerprint(), open_mmap(plain).fingerprint());
+  EXPECT_EQ(m.file_bytes(), legacy_bytes.size());
+
+  // Re-converting it (what gdiam_convert runs) writes the plain image back.
+  const std::string again = path("legacy_again.gcsr");
+  write_gcsr(serve::make_graph("file:" + legacy), again);
+  EXPECT_EQ(slurp(again), plain_bytes);
+
+  // The table checksum still covers the ignored entries.
+  auto flipped = legacy_bytes;
+  flipped[entry_at(flipped, 4) + kEntryChecksumOff] ^= 0x01;
+  dump(legacy, flipped);
+  EXPECT_EQ(open_code(legacy), BinfmtErrc::kChecksumMismatch);
 }
 
-// --- 2a. warm-path semantics: adoption --------------------------------------
-
-TEST_F(BinfmtTest, AdoptPresplitsWarmsTheContextCache) {
-  const Graph src = test::make_family(test::Family::kGnmUniform, 150, 11);
-  const std::string p = path("adopt.gcsr");
-  write_gcsr(src, p, {.presplit_deltas = {0.1, 0.3}});
-
-  const MappedGraph m = open_mmap(p);
-  const Graph g = m.graph();  // copies share the mapping: still covered
-  ASSERT_TRUE(m.covers(g));
-
-  exec::Context ctx;
-  EXPECT_FALSE(ctx.has_split(g, 0.1));
-  EXPECT_EQ(ctx.adopt_presplits(g, m), 2u);
-  EXPECT_TRUE(ctx.has_split(g, 0.1));
-  EXPECT_TRUE(ctx.has_split(g, 0.3));
-  EXPECT_FALSE(ctx.has_split(g, 0.2));
-  // Idempotent: everything is already cached.
-  EXPECT_EQ(ctx.adopt_presplits(g, m), 0u);
-
-  // The adopted split is indistinguishable from a freshly computed one.
-  const SplitCsr& adopted = ctx.split_for(g, 0.1);
-  EXPECT_TRUE(adopted.validate());
-  const CsrSplit fresh = presplit_csr(g.offsets(), g.targets(),
-                                      g.edge_weights(), 0.1);
-  EXPECT_TRUE(same_split(adopted.data(), fresh));
-}
-
-TEST_F(BinfmtTest, AdoptionRejectsAGraphTheFileDoesNotCover) {
-  const Graph src = test::make_family(test::Family::kMeshUniform, 100, 5);
-  const std::string p = path("foreign.gcsr");
-  write_gcsr(src, p, {.presplit_deltas = {0.2}});
-  const MappedGraph m = open_mmap(p);
-
-  // `src` is the same graph by value, but it is owned storage, not a view
-  // into this mapping — adoption must refuse it.
-  EXPECT_FALSE(m.covers(src));
-  exec::Context ctx;
-  try {
-    ctx.adopt_presplits(src, m);
-    FAIL() << "adoption against a non-covered graph succeeded";
-  } catch (const BinfmtError& e) {
-    EXPECT_EQ(e.code(), BinfmtErrc::kFingerprintMismatch);
-  }
-  EXPECT_FALSE(ctx.has_split(src, 0.2));
-}
-
-TEST_F(BinfmtTest, MappedViewRebuildsTheSidecarIndexFromABacking) {
-  const Graph src = test::make_family(test::Family::kRmatGiant, 128, 9);
-  const std::string p = path("view.gcsr");
-  write_gcsr(src, p, {.presplit_deltas = {0.4}});
-
-  const MappedGraph m = open_mmap(p);
-  const Graph g = m.graph();
-  const std::optional<MappedGraph> v = mapped_view(g);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->fingerprint(), m.fingerprint());
-  EXPECT_EQ(v->presplit_deltas(), m.presplit_deltas());
-  EXPECT_TRUE(v->covers(g));
-
-  EXPECT_FALSE(mapped_view(src).has_value());  // owned graphs have no view
-}
-
-TEST_F(BinfmtTest, GraphStoreColdStartAdoptsSidecars) {
-  const Graph src = test::make_family(test::Family::kMeshUniform, 100, 21);
-  const std::string p = path("store.gcsr");
-  write_gcsr(src, p, {.presplit_deltas = {0.15}});
-
-  serve::GraphStore store;
-  serve::GraphStore::Entry& e = store.get("file:" + p);
-  EXPECT_TRUE(e.loaded);
-  EXPECT_TRUE(e.graph.is_mapped());
-  EXPECT_TRUE(same_csr(src, e.graph));
-  // The daemon's first query at Δ=0.15 hits the persisted layout.
-  EXPECT_TRUE(e.ctx.has_split(e.graph, 0.15));
-}
-
-// --- 2b. warm-path semantics: end-to-end parity -----------------------------
+// --- 2. end-to-end parity ----------------------------------------------------
 
 struct ParityConfig {
   std::uint32_t partitions;
@@ -379,17 +349,14 @@ TEST_F(BinfmtTest, SsspParityTextVsMmapAcrossTransports) {
     const std::string bp = path(std::string("par_") + test::family_name(f) +
                                 ".gcsr");
     write_exact_edge_list(built, tp);
-    write_gcsr(built, bp,
-               {.presplit_deltas = {built.avg_weight()}});
+    write_gcsr(built, bp);
 
     const Graph text = read_edge_list_file(tp, /*compact_ids=*/false);
     ASSERT_EQ(text.num_nodes(), built.num_nodes());
-    const MappedGraph m = open_mmap(bp);
-    const Graph mapped = m.graph();
+    const Graph mapped = open_mmap(bp).graph();
 
     exec::Context text_ctx;
     exec::Context map_ctx;
-    map_ctx.adopt_presplits(mapped, m);
 
     for (const ParityConfig& c : parity_configs()) {
       SCOPED_TRACE(c.name);
@@ -442,10 +409,10 @@ TEST_F(BinfmtTest, DiameterEstimateParityTextVsMmapAcrossTransports) {
 
 // --- 3. corruption rejection ------------------------------------------------
 
-/// One valid fixture shared by the negative tests: small graph, one sidecar.
+/// One valid fixture shared by the negative tests: a small plain graph.
 Graph corruption_fixture(const std::string& p) {
   const Graph g = test::make_family(test::Family::kMeshUniform, 64, 13);
-  write_gcsr(g, p, {.presplit_deltas = {0.1, 0.2}});
+  write_gcsr(g, p);
   return g;
 }
 
@@ -566,43 +533,6 @@ TEST_F(BinfmtTest, RejectsWrongSectionKindAndLength) {
   restamp_table(bytes);
   dump(p, bytes);
   EXPECT_EQ(open_code(p), BinfmtErrc::kBadSection);
-}
-
-TEST_F(BinfmtTest, CorruptSidecarIsRejectedWithoutPartialAdoption) {
-  const std::string p = path("sidecar.gcsr");
-  (void)corruption_fixture(p);  // sidecars for Δ = 0.1 and Δ = 0.2
-  auto bytes = slurp(p);
-
-  // Sections: 0–2 graph CSR, 3–5 the Δ=0.1 triple, 6–8 the Δ=0.2 triple.
-  // Poison the Δ=0.2 split array with an out-of-bounds offset and re-stamp
-  // its checksum: the file validates clean at open, the semantic bounds
-  // check at load time is the last line of defense.
-  const std::size_t e6 = entry_at(bytes, 6);
-  const auto off = rd<std::uint64_t>(bytes, e6 + kEntryOffsetOff);
-  const auto len = rd<std::uint64_t>(bytes, e6 + kEntryLengthOff);
-  wr<std::uint64_t>(bytes, off, ~std::uint64_t{0});
-  wr<std::uint64_t>(bytes, e6 + kEntryChecksumOff,
-                    gcsr_checksum(bytes.data() + off, len));
-  restamp_table(bytes);
-  dump(p, bytes);
-
-  const MappedGraph m = open_mmap(p);  // full checksum pass is clean
-  const Graph g = m.graph();
-  CsrSplit out;
-  ASSERT_TRUE(m.load_presplit(0.1, out));  // the intact sidecar still loads
-  try {
-    (void)m.load_presplit(0.2, out);
-    FAIL() << "out-of-bounds sidecar loaded";
-  } catch (const BinfmtError& e) {
-    EXPECT_EQ(e.code(), BinfmtErrc::kBadPresplit);
-  }
-
-  // All-or-nothing adoption: the good Δ=0.1 layout must NOT be committed
-  // when the Δ=0.2 one throws.
-  exec::Context ctx;
-  EXPECT_THROW((void)ctx.adopt_presplits(g, m), BinfmtError);
-  EXPECT_FALSE(ctx.has_split(g, 0.1));
-  EXPECT_FALSE(ctx.has_split(g, 0.2));
 }
 
 TEST_F(BinfmtTest, WriteFaultsSurfaceAsTypedIoErrors) {

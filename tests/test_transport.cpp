@@ -7,8 +7,9 @@
 // resident-worker PoolTransport for every graph family, K ∈ {2, 4} and
 // P ∈ {1, 2}, with the wire counters nonzero exactly under the pool. The
 // pool additionally pins its lifecycle contract: one spawn
-// wave per resident epoch, per-superstep inputs crossing the socket, and a
-// SIGKILLed worker restarted mid-run with bit-identical results.
+// wave per resident epoch, per-superstep inputs crossing the socket, a
+// codec-less superstep refused before any fork, and a SIGKILLed worker
+// restarted mid-run with bit-identical results.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <cstddef>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -162,9 +164,15 @@ TEST(Exchange, DecodeRejectsMalformedRow) {
 }
 
 // ---------------------------------------------------------------------------
-// PoolTransport superstep semantics without an input codec: every superstep
-// forks fresh workers, which must deliver the local transport's inboxes and
-// ship the per-shard counters back.
+// PoolTransport superstep semantics: the workers must deliver the local
+// transport's inboxes and ship the per-shard counters back. Compute reads no
+// per-step input, so the codec ships nothing.
+
+/// A codec for compute that reads no per-superstep state.
+const StepInputCodec kEmptyCodec{
+    .encode = [](ShardId, std::vector<std::byte>&) {},
+    .decode = [](ShardId, const std::byte*, std::size_t) {},
+};
 
 class PoolSuperstepParity : public testing::TestWithParam<std::uint32_t> {};
 
@@ -195,7 +203,7 @@ TEST_P(PoolSuperstepParity, MatchesLocalInboxesAndShipsCounters) {
         [&](const Shard& sh, std::span<const std::uint32_t> inbox) {
           inboxes[sh.id].assign(inbox.begin(), inbox.end());
         },
-        &stats, counters);
+        &stats, counters, &kEmptyCodec);
     // Loopback first, then the routed ring message.
     for (ShardId s = 0; s < k; ++s) {
       EXPECT_EQ(inboxes[s].size(), 2u);
@@ -307,35 +315,36 @@ TEST(PoolSuperstep, ResidentWorkersReceivePerStepInputs) {
   EXPECT_EQ(pool.spawns(), 4u);  // shutdown is not a spawn
 }
 
-// A codec-less plan must still be correct under the pool: the transport
-// falls back to a respawn per superstep.
-TEST(PoolSuperstep, NoCodecFallsBackToRespawnPerSuperstep) {
+// A codec-less superstep under the pool is a programming error: the frozen
+// workers could never see a per-step input. The engine refuses it before
+// forking anything, and the local transport still runs without a codec.
+TEST(PoolSuperstep, NoCodecThrowsBeforeAnyFork) {
   const Graph g = gen::path(24);
   const Partition part(
       g, {.num_partitions = 3, .strategy = PartitionStrategy::kRange});
   const std::uint32_t k = part.num_partitions();
 
-  PoolTransport pool((Launcher(k, 3)));
-  BspEngine engine(part, &pool);
-  Exchange<std::uint64_t> ex(k);
-  std::uint64_t round = 0;
   std::vector<std::vector<std::uint64_t>> inboxes(k);
-  for (round = 1; round <= 2; ++round) {
-    engine.superstep(
-        ex,
-        [&](const Shard& sh, Exchange<std::uint64_t>& out) {
-          out.send(sh.id, (sh.id + 1) % k, round * 10 + sh.id);
-        },
-        [&](const Shard& sh, std::span<const std::uint64_t> inbox) {
-          inboxes[sh.id].assign(inbox.begin(), inbox.end());
-        });
-    for (ShardId s = 0; s < k; ++s) {
-      ASSERT_EQ(inboxes[s].size(), 1u);
-      // Fresh fork each step, so `round` is current even without a codec.
-      EXPECT_EQ(inboxes[s][0], round * 10 + (s + k - 1) % k);
-    }
+  auto compute = [&](const Shard& sh, Exchange<std::uint64_t>& out) {
+    out.send(sh.id, (sh.id + 1) % k, sh.id);
+  };
+  auto apply = [&](const Shard& sh, std::span<const std::uint64_t> inbox) {
+    inboxes[sh.id].assign(inbox.begin(), inbox.end());
+  };
+
+  PoolTransport pool((Launcher(k, 3)));
+  BspEngine pooled(part, &pool);
+  Exchange<std::uint64_t> ex(k);
+  EXPECT_THROW(pooled.superstep(ex, compute, apply), std::logic_error);
+  EXPECT_EQ(pool.spawns(), 0u);
+  EXPECT_EQ(pooled.supersteps(), 0u);
+
+  BspEngine local(part);
+  local.superstep(ex, compute, apply);
+  for (ShardId s = 0; s < k; ++s) {
+    ASSERT_EQ(inboxes[s].size(), 1u);
+    EXPECT_EQ(inboxes[s][0], (s + k - 1) % k);
   }
-  EXPECT_EQ(pool.spawns(), 2u * k);  // one wave per superstep
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 //
 // File formats are selected by extension: .gr (DIMACS), .txt/.el (edge
 // list), .bin (gdiam binary stream), .gcsr (versioned mmap binary CSR;
-// zero-copy ingest, see tools/gdiam_convert for presplit sidecars). Examples:
+// zero-copy ingest, written by `convert` or tools/gdiam_convert). Examples:
 //   gdiam generate --family mesh --side 512 --weights uniform --out m.bin
 //   gdiam estimate m.bin --tau 64
 //   gdiam sssp m.gcsr --source 0 --delta 0.5
@@ -92,20 +92,12 @@ void store(const Graph& g, const std::string& path) {
   } else if (path.ends_with(".bin")) {
     io::write_binary_file(g, path);
   } else if (path.ends_with(".gcsr")) {
-    // Bare conversion; `gdiam_convert --presplit` adds warm-start sidecars.
     io::write_gcsr(g, path);
   } else {
     std::ofstream f(path);
     if (!f) throw std::runtime_error("cannot open " + path);
     io::write_edge_list(g, f);
   }
-}
-
-/// Warms a context from the presplit sidecars of a .gcsr-mapped graph (no-op
-/// for every other format). Must be called with the same Graph object the
-/// kernels will run on — the context's split cache keys on its address.
-void warm_from_mapping(const Graph& g, exec::Context& ctx) {
-  if (const auto m = io::mapped_view(g)) ctx.adopt_presplits(g, *m);
 }
 
 /// Shared --partitions / --range-partition parsing for estimate and sssp.
@@ -310,7 +302,6 @@ int cmd_estimate(const util::Options& o) {
   // BM_ClusterContextReuse A/B. The result is identical either way; only the
   // wall time moves.
   exec::Context shared_ctx;
-  warm_from_mapping(g, shared_ctx);
   core::DiameterApproxResult r;
   util::Timer total;
   for (unsigned run = 0; run < rep.repeat; ++run) {
@@ -374,7 +365,6 @@ int cmd_sssp(const util::Options& o) {
   const Graph g = load(o.positional()[1]);
 
   exec::Context shared_ctx;
-  warm_from_mapping(g, shared_ctx);
   sssp::DeltaSteppingResult r;
   util::Timer total;
   for (unsigned run = 0; run < rep.repeat; ++run) {

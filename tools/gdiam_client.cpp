@@ -16,7 +16,8 @@
 //   fault     — arm (spec=) or clear (clear=1) a fault schedule
 //
 // Every verb also takes id= and the queued verbs deadline_ms=; the daemon
-// answers a field its verb does not read with a bad_request error.
+// answers a field its verb does not read with a bad_request error, and the
+// client itself exits 2 on a flag it does not know, before connecting.
 //
 // The response body prints to stdout byte-for-byte — for estimate/sssp that
 // is exactly the block the one-shot `gdiam estimate` / `gdiam sssp` CLI
@@ -44,6 +45,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -71,6 +73,8 @@ fields are passed as key=value arguments, e.g.:
 --timeout-ms T  attach deadline_ms=T to each estimate/sssp/load (0 = none)
 --retry-ms R    retry a refused/absent socket for up to R ms with
                 backoff (default 2000; 0 = fail on the first attempt)
+
+Unknown flags exit 2 with this usage error before any connection.
 )");
   std::exit(error == nullptr ? 0 : 2);
 }
@@ -143,6 +147,12 @@ int main(int argc, char** argv) {
   if (verb == "--help" || verb == "help") usage();
   try {
     const util::Options o(argc - 1, argv + 1);
+    if (o.has("help")) usage();
+    constexpr std::string_view kKnown[] = {"socket",     "repeat",   "jobs",
+                                           "timeout-ms", "retry-ms", "help"};
+    if (const auto name = o.first_unknown(kKnown)) {
+      usage(("unknown flag --" + *name).c_str());
+    }
     const std::string socket_path = o.get_string("socket", "/tmp/gdiamd.sock");
     const std::int64_t repeat = o.get_int("repeat", 1);
     const std::int64_t jobs = o.get_int("jobs", 1);

@@ -1,30 +1,27 @@
 // gdiam_convert — convert any readable graph to the mmap-ready .gcsr format
-// (graph/binfmt.hpp; DESIGN.md §14), optionally persisting Δ-presplit
-// sidecars so a serving cold start adopts ready-made layouts instead of
-// paying the O(m) reorder before its first query.
+// (graph/binfmt.hpp; DESIGN.md §14).
 //
 // usage:
-//   gdiam_convert INPUT --out FILE.gcsr [--presplit D[,D...]] [--verify]
+//   gdiam_convert INPUT --out FILE.gcsr [--verify]
 //
 // INPUT is a graph file (.gr DIMACS, .bin gdiam binary, .gcsr, else edge
 // list) or a gen: spec ("gen:mesh:side=64:weights=uniform" — the same
-// grammar gdiamd serves, serve/graphs.hpp). --presplit takes a
-// comma-separated list of Δ values; each adds one persisted presplit
-// layout. --verify re-opens the written file (full checksum pass) and
-// checks the mapped CSR and every sidecar bit-for-bit against the source.
+// grammar gdiamd serves, serve/graphs.hpp). --verify re-opens the written
+// file (full checksum pass) and checks the mapped CSR and its weight stats
+// bit-for-bit against the source. Unknown flags exit 2 before anything is
+// read or written.
 //
 // examples:
 //   gdiam generate --family mesh --side 512 --weights uniform --out m.bin
-//   gdiam_convert m.bin --out m.gcsr --presplit 0.05,0.1 --verify
+//   gdiam_convert m.bin --out m.gcsr --verify
 //   gdiamd --socket /tmp/g.sock &   # then query spec "file:m.gcsr"
 
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "graph/binfmt.hpp"
-#include "graph/split_csr.hpp"
 #include "serve/graphs.hpp"
 #include "util/fault.hpp"
 #include "util/options.hpp"
@@ -37,39 +34,12 @@ using namespace gdiam;
 [[noreturn]] void usage(const char* error = nullptr) {
   if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
   std::fprintf(stderr,
-               "usage: gdiam_convert INPUT --out FILE.gcsr"
-               " [--presplit D[,D...]] [--verify]\n"
+               "usage: gdiam_convert INPUT --out FILE.gcsr [--verify]\n"
                "  INPUT       graph file (.gr/.bin/.gcsr/edge list) or a"
                " gen: spec\n"
-               "  --presplit  persist the Δ-presplit layout for each listed"
-               " Δ value\n"
                "  --verify    re-open the output and check it bit-for-bit"
                " against the source\n");
   std::exit(error == nullptr ? 0 : 2);
-}
-
-std::vector<Weight> parse_deltas(const std::string& arg) {
-  std::vector<Weight> out;
-  std::size_t pos = 0;
-  while (pos <= arg.size()) {
-    const std::size_t comma = arg.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? arg.size() : comma;
-    const std::string part = arg.substr(pos, end - pos);
-    std::size_t used = 0;
-    double d = 0.0;
-    try {
-      d = std::stod(part, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (part.empty() || used != part.size()) {
-      usage(("--presplit: bad delta '" + part + "'").c_str());
-    }
-    out.push_back(d);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
 }
 
 template <typename T>
@@ -79,7 +49,7 @@ bool bits_equal(std::span<const T> a, std::span<const T> b) {
 }
 
 /// The parity contract in full: mapped CSR arrays identical to the source's,
-/// and every persisted sidecar identical to a freshly computed presplit.
+/// and persisted weight stats identical to freshly computed ones.
 bool verify_output(const Graph& src, const std::string& path) {
   const io::MappedGraph m = io::open_mmap(path);  // full checksum pass
   const Graph& g = m.graph();
@@ -98,22 +68,6 @@ bool verify_output(const Graph& src, const std::string& path) {
     std::fprintf(stderr, "verify: persisted weight stats differ\n");
     return false;
   }
-  for (const Weight delta : m.presplit_deltas()) {
-    CsrSplit loaded;
-    if (!m.load_presplit(delta, loaded)) {
-      std::fprintf(stderr, "verify: sidecar for delta=%g missing\n", delta);
-      return false;
-    }
-    const CsrSplit fresh = presplit_csr(src.offsets(), src.targets(),
-                                        src.edge_weights(), delta);
-    if (!bits_equal<EdgeIndex>(loaded.split, fresh.split) ||
-        !bits_equal<NodeId>(loaded.targets, fresh.targets) ||
-        !bits_equal<Weight>(loaded.weights, fresh.weights)) {
-      std::fprintf(stderr, "verify: sidecar for delta=%g differs from a"
-                           " fresh presplit\n", delta);
-      return false;
-    }
-  }
   return true;
 }
 
@@ -124,23 +78,22 @@ int main(int argc, char** argv) {
     util::fault::arm_from_env();  // chaos runs cover "io.write" here too
     const util::Options o(argc, argv);
     if (o.has("help")) usage();
+    constexpr std::string_view kKnown[] = {"out", "verify", "help"};
+    if (const auto name = o.first_unknown(kKnown)) {
+      usage(("unknown flag --" + *name).c_str());
+    }
     if (o.positional().empty()) usage("missing INPUT");
     const std::string input = o.positional().front();
     const std::string out = o.get_string("out", "");
     if (out.empty()) usage("--out FILE.gcsr is required");
     if (!out.ends_with(".gcsr")) usage("--out must end in .gcsr");
 
-    io::GcsrWriteOptions wopts;
-    if (o.has("presplit")) {
-      wopts.presplit_deltas = parse_deltas(o.get_string("presplit", ""));
-    }
-
     util::Timer t_load;
     const Graph g = serve::make_graph(input);
     const double load_s = t_load.seconds();
 
     util::Timer t_write;
-    io::write_gcsr(g, out, wopts);
+    io::write_gcsr(g, out);
     const double write_s = t_write.seconds();
 
     const io::MappedGraph m = io::open_mmap(out, {.verify_checksums = false});
@@ -150,18 +103,13 @@ int main(int argc, char** argv) {
                 m.file_bytes());
     std::printf("fingerprint:   %016llx\n",
                 static_cast<unsigned long long>(m.fingerprint()));
-    if (!m.presplit_deltas().empty()) {
-      std::printf("presplit:     ");
-      for (const Weight d : m.presplit_deltas()) std::printf(" %g", d);
-      std::printf("\n");
-    }
     std::printf("load %.3fs, write %.3fs\n", load_s, write_s);
 
     if (o.get_bool("verify", false)) {
       util::Timer t_verify;
       if (!verify_output(g, out)) return 1;
-      std::printf("verified in %.3fs: CSR and %zu sidecar(s) bit-identical\n",
-                  t_verify.seconds(), m.presplit_deltas().size());
+      std::printf("verified in %.3fs: CSR bit-identical\n",
+                  t_verify.seconds());
     }
     return 0;
   } catch (const std::exception& e) {

@@ -18,6 +18,7 @@
 #include <csignal>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "serve/server.hpp"
@@ -47,6 +48,8 @@ namespace {
                   "net.send=errno:EPIPE@3;pool.ship=kill@2"
                   (also read from the GDIAM_FAULTS env var)
 
+Unknown flags exit 2 with this usage error before the socket is bound.
+
 Query it with gdiam_client, e.g.:
   gdiam_client estimate --socket /tmp/gdiamd.sock graph=gen:mesh:side=64 tau=16
   gdiam_client shutdown --socket /tmp/gdiamd.sock
@@ -61,6 +64,13 @@ int main(int argc, char** argv) {
   try {
     const util::Options o(argc, argv);
     if (o.has("help")) usage();
+    constexpr std::string_view kKnown[] = {"socket",    "workers",
+                                           "max-batch", "max-queue",
+                                           "write-timeout-ms", "faults",
+                                           "help"};
+    if (const auto name = o.first_unknown(kKnown)) {
+      usage(("unknown flag --" + *name).c_str());
+    }
     serve::ServerOptions opts;
     opts.socket_path = o.get_string("socket", "/tmp/gdiamd.sock");
     opts.worker_threads = o.get_uint32("workers", 2);
