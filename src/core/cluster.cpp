@@ -1,6 +1,7 @@
 #include "core/cluster.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -139,6 +140,7 @@ Clustering cluster(const Graph& g, const ClusterOptions& opts,
       }
       // Contracted clusters re-enter as zero-distance sources (Contract
       // re-attaches their frontier edges to the center, original weights).
+#pragma omp parallel for schedule(static)
       for (NodeId u = 0; u < n; ++u) {
         if (drv.is_covered(u)) engine.set_source(u, out.center_of[u]);
       }
@@ -185,62 +187,122 @@ Clustering cluster(const Graph& g, const ClusterOptions& opts,
     }
 
     // --- assignment + logical contraction (one MR round) ------------------
+    //
+    // dist_to_center fix-up: the stage label d_v only measures the path from
+    // the cluster's *boundary* (Contract re-attaches frontier edges at
+    // original weight), so the distance to the center is recovered by
+    // walking the relaxation forest. Taking a cluster's newly covered nodes
+    // by increasing (label, id), a node's true parent (the neighbor that set
+    // d_v = d_u + w) is already final, giving the exact weight of an actual
+    // center-to-v path — a tight, deterministic upper bound. When growth
+    // stopped early the parent's label may have shifted afterwards; the
+    // cluster's boundary offset then serves as a safe fallback.
+    //
+    // A node only ever looks at members of its own cluster, so each cluster
+    // is walked on its own, in parallel: the newly covered nodes are
+    // counting-sorted by center, and every bucket is sorted and walked by
+    // one task. A walk reads only state fixed for the whole contraction
+    // (coverage before the stage, the earlier stages' assignment, the
+    // labels) plus its own members' distances, so the result does not
+    // depend on the thread count.
     void contract() {
       const NodeId n = g.num_nodes();
-      std::vector<NodeId> newly_covered;
+      const std::vector<PackedLabel>& labels = engine.labels();
+      const auto newly = [&](NodeId u) {
+        return !drv.is_covered(u) && label_assigned(labels[u]);
+      };
+
+      bucket_pos.assign(n, 0);
+#pragma omp parallel for schedule(static)
       for (NodeId u = 0; u < n; ++u) {
-        if (drv.is_covered(u)) continue;
-        if (!label_assigned(engine.label(u))) continue;
-        newly_covered.push_back(u);
+        if (!newly(u)) continue;
+        std::atomic_ref<NodeId>(bucket_pos[label_center(labels[u])])
+            .fetch_add(1, std::memory_order_relaxed);
       }
-      // dist_to_center fix-up: the stage label d_v only measures the path
-      // from the cluster's *boundary* (Contract re-attaches frontier edges
-      // at original weight), so the distance to the center is recovered by
-      // walking the relaxation forest: processing newly covered nodes by
-      // increasing stage label, a node's true parent (the neighbor that set
-      // d_v = d_u + w) is already finalized, giving the exact weight of an
-      // actual center-to-v path — a tight, deterministic upper bound. When
-      // growth stopped early the parent's label may have shifted afterwards;
-      // the per-cluster boundary offset then serves as a safe fallback.
-      std::sort(newly_covered.begin(), newly_covered.end(),
-                [&](NodeId a, NodeId b) {
-                  const float da = label_dist(engine.label(a));
-                  const float db = label_dist(engine.label(b));
-                  if (da != db) return da < db;
-                  return a < b;
-                });
-      for (const NodeId v : newly_covered) {
-        const PackedLabel lab = engine.label(v);
-        const NodeId c = label_center(lab);
-        const float bv = label_dist(lab);
-        Weight best = kInfiniteWeight;
-        if (bv == 0.0f) {
-          best = 0.0;  // new center
-        } else {
-          const auto nbr = g.neighbors(v);
-          const auto wts = g.weights(v);
-          for (std::size_t i = 0; i < nbr.size(); ++i) {
-            const NodeId u = nbr[i];
-            // Any already-finalized member of the same cluster (covered in
-            // an earlier stage, or earlier in this sweep) certifies the real
-            // path center -> u -> v of weight dist(u) + w.
-            if (drv.is_covered(u) && out.center_of[u] == c &&
-                out.dist_to_center[u] != kInfiniteWeight) {
-              best = std::min(best, out.dist_to_center[u] + wts[i]);
+      buckets.clear();
+      NodeId total = 0;
+      for (NodeId c = 0; c < n; ++c) {
+        const NodeId size = bucket_pos[c];
+        if (size == 0) continue;
+        buckets.push_back(Bucket{c, total, total + size});
+        bucket_pos[c] = total;
+        total += size;
+      }
+      newly_covered.resize(total);
+#pragma omp parallel for schedule(static)
+      for (NodeId u = 0; u < n; ++u) {
+        if (!newly(u)) continue;
+        const NodeId slot =
+            std::atomic_ref<NodeId>(bucket_pos[label_center(labels[u])])
+                .fetch_add(1, std::memory_order_relaxed);
+        newly_covered[slot] = u;
+      }
+
+#pragma omp parallel
+      {
+        // (label_dist order bits, id) keys: labels are non-negative floats,
+        // so integer order is exactly (label_dist, id) order.
+        std::vector<std::uint64_t> order;
+#pragma omp for schedule(dynamic, 16)
+        for (std::size_t b = 0; b < buckets.size(); ++b) {
+          const NodeId c = buckets[b].center;
+          order.clear();
+          for (NodeId i = buckets[b].begin; i < buckets[b].end; ++i) {
+            const NodeId v = newly_covered[i];
+            order.push_back((labels[v] >> 32 << 32) | v);
+          }
+          std::sort(order.begin(), order.end());
+          const Weight offset = cluster_offset[c];
+          Weight extent = offset;
+          for (const std::uint64_t key : order) {
+            const auto v = static_cast<NodeId>(key & 0xffffffffULL);
+            const float bv = label_dist(key);
+            Weight best = kInfiniteWeight;
+            if (bv == 0.0f) {
+              best = 0.0;  // new center
+            } else {
+              const auto nbr = g.neighbors(v);
+              const auto wts = g.weights(v);
+              for (std::size_t i = 0; i < nbr.size(); ++i) {
+                const NodeId u = nbr[i];
+                // Any final member of the same cluster — covered in an
+                // earlier stage, or walked before v in this bucket —
+                // certifies the real path center -> u -> v of weight
+                // dist(u) + w.
+                const bool final_member =
+                    drv.is_covered(u)
+                        ? out.center_of[u] == c
+                        : label_center(labels[u]) == c &&
+                              out.dist_to_center[u] != kInfiniteWeight;
+                if (final_member) {
+                  best = std::min(best, out.dist_to_center[u] + wts[i]);
+                }
+              }
+              if (best == kInfiniteWeight) {
+                best = offset + static_cast<Weight>(bv);  // fallback
+              }
             }
+            out.center_of[v] = c;
+            out.dist_to_center[v] = best;
+            extent = std::max(extent, best);
           }
-          if (best == kInfiniteWeight) {
-            best = cluster_offset[c] + static_cast<Weight>(bv);  // fallback
-          }
+          // The boundary offset advances to the stage's final extent.
+          cluster_offset[c] = extent;
         }
-        drv.cover(v, c, best);
       }
-      // The boundary offset advances to the stage's final extent.
-      for (const NodeId v : newly_covered) {
-        cluster_offset[out.center_of[v]] =
-            std::max(cluster_offset[out.center_of[v]], out.dist_to_center[v]);
-      }
+      drv.cover(newly_covered);
     }
+
+    // Contraction scratch, reused across stages: per-center bucket cursors,
+    // the non-empty buckets, and the newly covered nodes grouped by bucket.
+    struct Bucket {
+      NodeId center;
+      NodeId begin;
+      NodeId end;
+    };
+    std::vector<NodeId> bucket_pos{};
+    std::vector<Bucket> buckets{};
+    std::vector<NodeId> newly_covered{};
   };
 
   Rule rule{out,

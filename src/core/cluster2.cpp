@@ -109,13 +109,19 @@ Cluster2Result cluster2(const Graph& g, const Cluster2Options& opts,
     // --- logical Contract2: everything reached becomes covered ------------
     void contract() {
       const NodeId n = g.num_nodes();
+      newly_covered.clear();
       for (NodeId u = 0; u < n; ++u) {
         if (drv.is_covered(u)) continue;
         const PackedLabel lab = engine.label(u);
         if (!label_assigned(lab)) continue;
-        drv.cover(u, label_center(lab), static_cast<Weight>(label_dist(lab)));
+        c2.center_of[u] = label_center(lab);
+        c2.dist_to_center[u] = static_cast<Weight>(label_dist(lab));
+        newly_covered.push_back(u);
       }
+      drv.cover(newly_covered);
     }
+
+    std::vector<NodeId> newly_covered{};  // contraction scratch
   };
 
   Rule rule{c2,   drv, engine,  g, opts,  rng,

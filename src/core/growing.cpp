@@ -86,6 +86,12 @@ void GrowingEngine::clear_labels() {
   for (auto& a : shard_active_) a.clear();
 }
 
+void GrowingEngine::block(std::span<const NodeId> nodes) noexcept {
+#pragma omp parallel for schedule(static)
+  for (std::size_t i = 0; i < nodes.size(); ++i) blocked_[nodes[i]] = 1;
+  ++resident_epoch_;
+}
+
 void GrowingEngine::set_source(NodeId u, NodeId center, Weight dist) {
   labels_[u] = pack_label(static_cast<float>(dist), center);
 }

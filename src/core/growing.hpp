@@ -40,6 +40,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/frontier.hpp"
@@ -136,6 +137,8 @@ class GrowingEngine {
     blocked_[u] = 1;
     ++resident_epoch_;
   }
+  /// block() for a whole contraction wave, in parallel, with one epoch bump.
+  void block(std::span<const NodeId> nodes) noexcept;
   [[nodiscard]] bool is_blocked(NodeId u) const noexcept {
     return blocked_[u] != 0;
   }

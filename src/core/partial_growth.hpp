@@ -19,7 +19,9 @@
 // and every Δ-presplit the doubling search has already paid for.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -40,7 +42,6 @@ class PartialGrowthDriver {
       : g_(g),
         out_(out),
         engine_(ctx.growing_engine(g, opts.policy, opts.partition)),
-        covered_(g.num_nodes(), 0),
         uncovered_(g.num_nodes()) {
     engine_.set_frontier_options(opts.frontier);
     engine_.set_transport_options(opts.transport);
@@ -52,7 +53,7 @@ class PartialGrowthDriver {
   [[nodiscard]] GrowingEngine& engine() noexcept { return engine_; }
   [[nodiscard]] NodeId uncovered() const noexcept { return uncovered_; }
   [[nodiscard]] bool is_covered(NodeId u) const noexcept {
-    return covered_[u] != 0;
+    return engine_.is_blocked(u);  // covered ⇔ blocked in the engine
   }
 
   /// The stage loop both algorithms share, with the MR accounting charged in
@@ -77,16 +78,15 @@ class PartialGrowthDriver {
     }
   }
 
-  /// Logical contraction of one node (DESIGN.md §3): u joins `center`'s
-  /// cluster at distance `dist` and from now on proposes from its label but
+  /// Logical contraction of one wave (DESIGN.md §3): every u in `nodes`
+  /// joins the cluster the rule has already written to out.center_of[u], at
+  /// out.dist_to_center[u], and from now on proposes from its label but
   /// never accepts a new one — the effect of Procedure Contract's
-  /// re-attached frontier edges.
-  void cover(NodeId u, NodeId center, Weight dist) {
-    covered_[u] = 1;
-    engine_.block(u);
-    out_.center_of[u] = center;
-    out_.dist_to_center[u] = dist;
-    --uncovered_;
+  /// re-attached frontier edges. The engine's resident epoch advances once
+  /// per wave.
+  void cover(std::span<const NodeId> nodes) {
+    engine_.block(nodes);
+    uncovered_ -= static_cast<NodeId>(nodes.size());
   }
 
   /// The shared tail: remaining uncovered nodes become singleton clusters,
@@ -94,28 +94,28 @@ class PartialGrowthDriver {
   /// from the final assignment.
   void finalize() {
     const NodeId n = g_.num_nodes();
+    std::vector<std::uint8_t> is_center(n, 0);
+    Weight radius = 0.0;
+#pragma omp parallel for schedule(static) reduction(max : radius)
     for (NodeId u = 0; u < n; ++u) {
       if (out_.center_of[u] == kInvalidNode) {
         out_.center_of[u] = u;
         out_.dist_to_center[u] = 0.0;
       }
+      std::atomic_ref<std::uint8_t>(is_center[out_.center_of[u]])
+          .store(1, std::memory_order_relaxed);
+      radius = std::max(radius, out_.dist_to_center[u]);
     }
-    std::vector<std::uint8_t> is_center(n, 0);
-    for (NodeId u = 0; u < n; ++u) is_center[out_.center_of[u]] = 1;
     for (NodeId u = 0; u < n; ++u) {
       if (is_center[u]) out_.centers.push_back(u);
     }
-    out_.radius = 0.0;
-    for (NodeId u = 0; u < n; ++u) {
-      out_.radius = std::max(out_.radius, out_.dist_to_center[u]);
-    }
+    out_.radius = radius;  // max is exact: any reduction order gives it
   }
 
  private:
   const Graph& g_;
   Clustering& out_;
   GrowingEngine& engine_;
-  std::vector<std::uint8_t> covered_;
   NodeId uncovered_;
 };
 

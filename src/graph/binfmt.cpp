@@ -6,7 +6,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -78,7 +80,7 @@ std::uint64_t fingerprint_of(std::uint64_t n, std::uint64_t arcs,
 
 /// Every byte leaving write_gcsr goes through here — the "io.write" fault
 /// point turns errno faults into typed throws and short faults into a real
-/// torn prefix on disk (which open_mmap then rejects as truncated).
+/// torn prefix in the temporary file, which write_gcsr then removes.
 void write_all(std::ofstream& f, const std::string& path, const void* data,
                std::size_t len) {
   if (len == 0) return;  // empty sections; keeps fault hit counts meaningful
@@ -193,24 +195,39 @@ void write_gcsr(const Graph& g, const std::string& path) {
   header.header_checksum =
       gcsr_checksum(&header, sizeof header - sizeof header.header_checksum);
 
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    fail(BinfmtErrc::kIoError, "cannot open '" + path + "' for writing");
-  }
-  write_all(f, path, &header, sizeof header);
-  std::uint64_t cur = sizeof(GcsrHeader);
-  for (std::uint32_t i = 0; i < kGraphSections; ++i) {
-    write_padding(f, path, cur, table[i].offset);
-    write_all(f, path, payloads[i].data, payloads[i].length);
-    cur = table[i].offset + table[i].length;
-  }
-  write_padding(f, path, cur, table_off);
-  write_all(f, path, table, sizeof table);
-  const std::uint64_t table_ck = gcsr_checksum(table, sizeof table);
-  write_all(f, path, &table_ck, sizeof table_ck);
-  f.close();
-  if (f.fail()) {
-    fail(BinfmtErrc::kIoError, path + ": close failed");
+  // The bytes go to a sibling temporary file that is renamed over `path`
+  // only once complete. A failed write leaves `path` as it was, and `g` may
+  // be a mapping of `path` itself: the old inode stays valid until unmapped.
+  static std::atomic<std::uint64_t> serial{0};
+  const std::string tmp = path + ".tmp-" + std::to_string(::getpid()) + "-" +
+                          std::to_string(serial.fetch_add(1));
+  try {
+    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
+    if (!f) {
+      fail(BinfmtErrc::kIoError, "cannot open '" + tmp + "' for writing");
+    }
+    write_all(f, path, &header, sizeof header);
+    std::uint64_t cur = sizeof(GcsrHeader);
+    for (std::uint32_t i = 0; i < kGraphSections; ++i) {
+      write_padding(f, path, cur, table[i].offset);
+      write_all(f, path, payloads[i].data, payloads[i].length);
+      cur = table[i].offset + table[i].length;
+    }
+    write_padding(f, path, cur, table_off);
+    write_all(f, path, table, sizeof table);
+    const std::uint64_t table_ck = gcsr_checksum(table, sizeof table);
+    write_all(f, path, &table_ck, sizeof table_ck);
+    f.close();
+    if (f.fail()) {
+      fail(BinfmtErrc::kIoError, path + ": close failed");
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+      fail(BinfmtErrc::kIoError,
+           path + ": rename failed: " + std::strerror(errno));
+    }
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
   }
 }
 

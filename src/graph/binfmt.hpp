@@ -75,10 +75,11 @@ class BinfmtError : public std::runtime_error {
 [[nodiscard]] std::uint64_t gcsr_checksum(const void* data,
                                           std::size_t len) noexcept;
 
-/// Writes `g` as a .gcsr file at `path`. Throws BinfmtError{kIoError} on
-/// any write failure (fault point "io.write": errno and short-write faults
-/// fail the write with the typed error; a torn run leaves a file that
-/// open_mmap rejects as truncated, never a half-valid graph).
+/// Writes `g` as a .gcsr file at `path`: into a sibling temporary file that
+/// is renamed over `path` once complete, so `g` may be a graph mapped from
+/// `path` itself. Throws BinfmtError{kIoError} on any write failure (fault
+/// point "io.write": errno and short-write faults fail the write with the
+/// typed error); the temporary file is removed and `path` is left as it was.
 void write_gcsr(const Graph& g, const std::string& path);
 
 struct GcsrOpenOptions {

@@ -18,9 +18,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -77,6 +79,21 @@ class BinfmtTest : public ::testing::Test {
  private:
   std::vector<std::string> files_;
 };
+
+/// Paths in `prefix`'s directory whose names start with its file name: the
+/// file itself plus any sibling a writer left behind.
+std::vector<std::string> entries_starting_with(const std::string& prefix) {
+  const std::filesystem::path p(prefix);
+  const std::string stem = p.filename().string();
+  std::vector<std::string> out;
+  for (const auto& e : std::filesystem::directory_iterator(p.parent_path())) {
+    if (e.path().filename().string().starts_with(stem)) {
+      out.push_back(e.path().string());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 // --- byte-surgery helpers --------------------------------------------------
 
@@ -549,18 +566,37 @@ TEST_F(BinfmtTest, WriteFaultsSurfaceAsTypedIoErrors) {
   EXPECT_EQ(util::fault::fired("io.write"), 1u);
   util::fault::disarm();
 
-  // A short write tears the file mid-section; the torn prefix on disk must
-  // be rejected by open_mmap, never parsed into a half-valid graph.
+  // A short write tears the temporary file mid-section; neither a torn file
+  // at the target nor the temporary file may remain.
   util::fault::arm("io.write=short@2");
   EXPECT_THROW(write_gcsr(g, p), BinfmtError);
   util::fault::disarm();
-  const auto code = open_code(p);
-  ASSERT_TRUE(code.has_value()) << "torn file opened successfully";
-  EXPECT_EQ(*code, BinfmtErrc::kTruncated);
+  EXPECT_TRUE(entries_starting_with(p).empty()) << "write left files behind";
 
   // With faults disarmed the same write succeeds and round-trips.
   write_gcsr(g, p);
   EXPECT_TRUE(same_csr(g, open_mmap(p).graph()));
+
+  // A failed write over an existing file leaves the old file in place.
+  const Graph other = test::make_family(test::Family::kMeshUniform, 100, 17);
+  util::fault::arm("io.write=short@2");
+  EXPECT_THROW(write_gcsr(other, p), BinfmtError);
+  util::fault::disarm();
+  EXPECT_TRUE(same_csr(g, open_mmap(p).graph()));
+  EXPECT_EQ(entries_starting_with(p), std::vector<std::string>{p});
+}
+
+TEST_F(BinfmtTest, WritingAMappedGraphOntoItsOwnPathKeepsIt) {
+  const Graph g = test::make_family(test::Family::kRmatGiant, 300, 7);
+  const std::string p = path("self.gcsr");
+  write_gcsr(g, p);
+  {
+    const MappedGraph m = open_mmap(p);
+    write_gcsr(m.graph(), p);  // reads from the mapping it replaces
+    EXPECT_TRUE(same_csr(g, m.graph()));
+  }
+  EXPECT_TRUE(same_csr(g, open_mmap(p).graph()));
+  EXPECT_EQ(entries_starting_with(p), std::vector<std::string>{p});
 }
 
 TEST_F(BinfmtTest, ErrorCodesHaveStableNames) {

@@ -9,10 +9,12 @@
 #include "core/cluster.hpp"
 #include "gen/basic.hpp"
 #include "gen/mesh.hpp"
+#include "gen/road.hpp"
 #include "gen/weights.hpp"
 #include "graph/builder.hpp"
 #include "sssp/dijkstra.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
 
 namespace gdiam::core {
 namespace {
@@ -230,6 +232,51 @@ TEST(Cluster, UnweightedPathRadiusReasonable) {
   const Clustering c = cluster(g, opts_with_tau(1, 13));
   EXPECT_TRUE(c.validate(g));
   EXPECT_LT(c.radius, 511.0 / 2.0);
+}
+
+// The contraction walks each cluster's newly covered nodes on its own thread;
+// every field of the decomposition must still be a pure function of (graph,
+// options). The hashes were recorded from the serial sorted sweep the
+// per-cluster walk replaced, and must hold at every thread count.
+TEST(Cluster, BitIdenticalAcrossThreadCounts) {
+  util::Xoshiro256 road_rng(5);
+  const Graph mesh = test::make_family(Family::kMeshUniform, 16384, 3);
+  const Graph road = gen::road_network(128, 128, road_rng);
+  const Graph rmat = test::make_family(Family::kRmatGiant, 16384, 9);
+  struct Case {
+    const char* name;
+    const Graph& g;
+    std::uint32_t tau;
+    std::uint64_t max_steps;  // > 0 exercises the boundary-offset fallback
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"mesh", mesh, 4, 0, 1, 0xd109ec48cd1c776cULL},
+      {"mesh", mesh, 4, 0, 2, 0x8d8ad5214e1afbd8ULL},
+      {"mesh", mesh, 4, 0, 3, 0x6fe400d4ed2fba51ULL},
+      {"mesh_capped", mesh, 4, 3, 1, 0x5f388b81611f3fefULL},
+      {"road", road, 4, 0, 1, 0x8c74d1db3c4512a7ULL},
+      {"road", road, 4, 0, 2, 0x1fea302db542d453ULL},
+      {"road", road, 4, 0, 3, 0x6188aca9e766f090ULL},
+      {"road_capped", road, 4, 3, 2, 0x0643aa3cf8683604ULL},
+      {"rmat", rmat, 8, 0, 1, 0xc4f10ebd4b2bd705ULL},
+      {"rmat", rmat, 8, 0, 2, 0xe30c503213fc022cULL},
+      {"rmat", rmat, 8, 0, 3, 0x8e9129db38d95c7aULL},
+  };
+  const int prev = util::num_threads();
+  for (const Case& k : cases) {
+    ClusterOptions o = opts_with_tau(k.tau, k.seed);
+    o.max_steps_per_growth = k.max_steps;
+    for (const int threads : {1, 2, 3}) {
+      util::set_num_threads(threads);
+      const Clustering c = cluster(k.g, o);
+      ASSERT_TRUE(c.validate(k.g));
+      EXPECT_EQ(test::clustering_hash(c), k.hash)
+          << k.name << " seed " << k.seed << " threads " << threads;
+    }
+  }
+  util::set_num_threads(prev);
 }
 
 TEST(TauForClusterTarget, BasicShape) {

@@ -9,10 +9,12 @@
 
 #include "core/cluster2.hpp"
 #include "gen/basic.hpp"
+#include "gen/road.hpp"
 #include "gen/weights.hpp"
 #include "graph/builder.hpp"
 #include "sssp/dijkstra.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
 
 namespace gdiam::core {
 namespace {
@@ -131,6 +133,41 @@ TEST(Cluster2, DisconnectedGraphCovered) {
   for (NodeId u = 0; u < 60; ++u) {
     EXPECT_EQ(r.clustering.center_of[u] < 30, u < 30);
   }
+}
+
+// CLUSTER2 contracts in one batch per iteration; the decomposition (and the
+// bootstrap CLUSTER run inside it) must not depend on the thread count. The
+// hashes were recorded from the node-by-node contraction the batch replaced.
+TEST(Cluster2, BitIdenticalAcrossThreadCounts) {
+  util::Xoshiro256 road_rng(5);
+  const Graph mesh = test::make_family(Family::kMeshUniform, 4096, 3);
+  const Graph road = gen::road_network(64, 64, road_rng);
+  const Graph rmat = test::make_family(Family::kRmatGiant, 4096, 9);
+  struct Case {
+    const char* name;
+    const Graph& g;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"mesh", mesh, 1, 0x1ab5e549a58ab1e5ULL},
+      {"mesh", mesh, 2, 0xe93dcc31cda7b7a5ULL},
+      {"road", road, 1, 0xf614dad8efd5ffddULL},
+      {"road", road, 2, 0x33a66ca83cfc6113ULL},
+      {"rmat", rmat, 1, 0x2015492ccd7254bcULL},
+      {"rmat", rmat, 2, 0x16852017a511a07cULL},
+  };
+  const int prev = util::num_threads();
+  for (const Case& k : cases) {
+    for (const int threads : {1, 2, 3}) {
+      util::set_num_threads(threads);
+      const Cluster2Result r = cluster2(k.g, opts_with_tau(4, k.seed));
+      ASSERT_TRUE(r.clustering.validate(k.g));
+      EXPECT_EQ(test::clustering_hash(r.clustering), k.hash)
+          << k.name << " seed " << k.seed << " threads " << threads;
+    }
+  }
+  util::set_num_threads(prev);
 }
 
 }  // namespace

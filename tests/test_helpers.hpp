@@ -3,10 +3,12 @@
 // answers and a brute-force APSP reference.
 
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/cluster.hpp"
 #include "gen/basic.hpp"
 #include "gen/mesh.hpp"
 #include "gen/rmat.hpp"
@@ -126,6 +128,39 @@ inline Graph make_family(Family f, NodeId n, std::uint64_t seed) {
     }
   }
   return Graph{};
+}
+
+/// FNV-1a over the bytes of every field of a clustering: assignments,
+/// distance bits, centers, radius, Δ_end, stages and every RoundStats
+/// counter. Pinned values of it catch any drift in a decomposition.
+inline std::uint64_t clustering_hash(const core::Clustering& c) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h = (h ^ p[i]) * 0x100000001b3ULL;
+    }
+  };
+  const auto mix_u64 = [&mix](std::uint64_t x) { mix(&x, sizeof x); };
+  const auto mix_double = [&mix_u64](double x) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    mix_u64(bits);
+  };
+  mix(c.center_of.data(), c.center_of.size() * sizeof(NodeId));
+  for (const Weight d : c.dist_to_center) mix_double(d);
+  mix(c.centers.data(), c.centers.size() * sizeof(NodeId));
+  mix_double(c.radius);
+  mix_double(c.delta_end);
+  mix_u64(c.stages);
+  const mr::RoundStats& s = c.stats;
+  for (const std::uint64_t x :
+       {s.relaxation_rounds, s.auxiliary_rounds, s.messages, s.node_updates,
+        s.cross_messages, s.cross_bytes, s.wire_messages, s.wire_bytes,
+        s.sparse_rounds, s.dense_rounds}) {
+    mix_u64(x);
+  }
+  return h;
 }
 
 inline std::vector<Family> all_families() {

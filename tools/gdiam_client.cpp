@@ -213,6 +213,8 @@ int main(int argc, char** argv) {
     }
     std::fputs(primary.body.c_str(), stdout);
     return 0;
+  } catch (const util::OptionError& e) {
+    usage(e.what());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gdiam_client %s: %s\n", verb.c_str(), e.what());
     return 1;

@@ -131,6 +131,8 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(s.degraded.load()),
         static_cast<unsigned long long>(s.disconnected_slow.load()));
     return 0;
+  } catch (const util::OptionError& e) {
+    usage(e.what());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gdiamd: %s\n", e.what());
     return 1;
